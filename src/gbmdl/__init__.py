@@ -29,7 +29,6 @@ from .generation import (
 )
 from .metrics import ContingencyTable, acc, ari, nmi
 from .models import (
-    MdlConfig,
     PeelCandidate,
     SplitCandidate,
     l1_length,
@@ -53,7 +52,6 @@ __all__ = [
     "GenerationConfig",
     "GenerationResult",
     "GranularBall",
-    "MdlConfig",
     "ModelChoice",
     "ModelVerdict",
     "NormalizationRecord",

@@ -26,24 +26,22 @@ def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def agglomerative_ward(centers: np.ndarray, K: int,
-                       sizes: np.ndarray | None = None) -> np.ndarray:
+def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     """Bottom-up Ward merging of center vectors down to K clusters.
 
     Each merge minimizes the within-cluster SSE increase
     |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2; ties go to the lexicographically
-    smallest pair of lowest member indices. ``sizes`` optionally weights each
-    center by its ball population (off by default: centers are unweighted).
-    Final labels are numbered by each cluster's lowest member index.
+    smallest pair of lowest member indices. Every center counts as one point,
+    whatever the size of its ball. Final labels are numbered by each
+    cluster's lowest member index.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     k = centers.shape[0]
     if K < 1 or k < K:
         raise ConfigurationError(f"cannot form {K} clusters from {k} centers")
 
-    weights = np.ones(k) if sizes is None else np.asarray(sizes, dtype=np.float64)
     means = centers.copy()
-    counts = weights.copy()
+    counts = np.ones(k)
     reps = np.arange(k)                      # lowest original index per cluster
     members: list[list[int]] = [[i] for i in range(k)]
     alive = np.ones(k, dtype=bool)
@@ -149,7 +147,7 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int, restarts: int = 10,
 
 
 def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,
-                           seed: int = 0, weight_by_size: bool = False) -> BallClustering:
+                           seed: int = 0) -> BallClustering:
     """Cluster ball centers into K clusters, or pass balls through directly.
 
     When the ball count does not exceed K each ball is its own cluster and no
@@ -173,9 +171,7 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
             f"{count} stable balls exceed K={K}; pick a backend (ac or kmeanspp)")
     centers = np.stack([b.center for b in stable_balls])
     if backend == "ac":
-        sizes = np.array([b.size for b in stable_balls], dtype=np.float64) \
-            if weight_by_size else None
-        labels = agglomerative_ward(centers, K, sizes=sizes)
+        labels = agglomerative_ward(centers, K)
     else:
         labels = kmeanspp(centers, K, seed)
     return BallClustering(ball_labels=labels, K=K)

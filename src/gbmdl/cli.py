@@ -21,10 +21,9 @@ import numpy as np
 
 from .backends import BACKENDS, cluster_or_passthrough, labels_to_samples
 from .core import Dataset
-from .errors import ConfigurationError, CsvParseError, GbmdlError
+from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import GenerationConfig, generate
 from .metrics import acc, ari, nmi
-from .models import MdlConfig
 from .preprocess import NormalizationRecord, background_log_volume, minmax_normalize
 
 
@@ -53,6 +52,10 @@ class RunConfig:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         if self.format not in ("json", "csv"):
             raise ConfigurationError("format must be json or csv")
+        for name in ("n_min", "k0"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         if self.k != "auto":
             try:
                 k = int(self.k)
@@ -208,6 +211,9 @@ def run_pipeline(config: RunConfig) -> EvaluationReport:
     backend runs (run i uses seed + i).
     """
     dataset = load_csv(config.input_path, config.label_column)
+    if dataset.labels is not None and dataset.n < 2:
+        raise DataQualityError(
+            "scoring against labels needs at least two samples; pass --label-col none")
 
     if config.normalize:
         dataset, _ = minmax_normalize(dataset)
@@ -224,9 +230,9 @@ def run_pipeline(config: RunConfig) -> EvaluationReport:
     else:
         k = int(config.k)
 
-    gen_config = GenerationConfig(n_min=config.n_min, k0=config.k0, mdl=MdlConfig())
     t0 = time.perf_counter()
-    result = generate(dataset, gen_config, background_log_volume=bg_volume)
+    result = generate(dataset, GenerationConfig(n_min=config.n_min, k0=config.k0),
+                      background_log_volume=bg_volume)
     gen_seconds = time.perf_counter() - t0
 
     verdicts = {"M1": 0, "M2": 0, "M3": 0}

@@ -64,12 +64,14 @@ class BallStats:
     """Sufficient statistics of a point set: count, per-feature sum, total squared norm.
 
     Only the isotropic dispersion is ever needed downstream, so the squared
-    norms are accumulated as one scalar rather than per feature.
+    norms are accumulated as one scalar rather than per feature. The same
+    type also holds k point sets at once (count (k,), sum (k, d), sumsq (k,));
+    every function taking BallStats then works element-wise over the k sets.
     """
 
-    count: int
+    count: int | np.ndarray
     sum: np.ndarray
-    sumsq: float
+    sumsq: float | np.ndarray
 
 
 def stats_from_points(points: np.ndarray) -> BallStats:
@@ -82,22 +84,19 @@ def stats_from_points(points: np.ndarray) -> BallStats:
 
 
 def stats_add_point(stats: BallStats, x: np.ndarray) -> BallStats:
+    """Statistics after adding point x; stacked stats add x to every set."""
     x = np.asarray(x, dtype=np.float64)
     return BallStats(stats.count + 1, stats.sum + x, stats.sumsq + float(x @ x))
 
 
-def stats_remove_point(stats: BallStats, x: np.ndarray) -> BallStats:
-    x = np.asarray(x, dtype=np.float64)
-    return BallStats(stats.count - 1, stats.sum - x, stats.sumsq - float(x @ x))
-
-
-def stats_sse(stats: BallStats) -> float:
+def stats_sse(stats: BallStats) -> float | np.ndarray:
     """Within-set sum of squared deviations from the mean, clamped at 0.
 
     The clamp absorbs floating-point cancellation; downstream logarithms
-    require nonnegativity.
+    require nonnegativity. Stacked stats give one value per set.
     """
-    return max(stats.sumsq - float(stats.sum @ stats.sum) / stats.count, 0.0)
+    sum_sq = np.einsum("...i,...i->...", stats.sum, stats.sum)
+    return np.maximum(stats.sumsq - sum_sq / stats.count, 0.0)
 
 
 def ball_center(stats: BallStats) -> np.ndarray:

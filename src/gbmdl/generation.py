@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    BallStats,
     Dataset,
     GenerationResult,
     GranularBall,
@@ -23,7 +24,7 @@ from .core import (
     stats_add_point,
 )
 from .errors import DataQualityError
-from .models import DEFAULT_MDL, MdlConfig, evaluate_ball, l1_length
+from .models import evaluate_ball, l1_length
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ class GenerationConfig:
 
     n_min: int | None = None
     k0: int | None = None
-    mdl: MdlConfig = field(default_factory=MdlConfig)
 
 
 def adaptive_n_min(n: int, d: int) -> int:
@@ -131,7 +131,7 @@ def generate_stable_balls(dataset: Dataset, config: GenerationConfig | None = No
 
     while queue:
         ball = queue.popleft()
-        verdict, split, peel = evaluate_ball(ball, values, n_min, cfg.mdl)
+        verdict, split, peel = evaluate_ball(ball, values, n_min)
         trace.append((ball.size, verdict))
         if verdict.choice is ModelChoice.SINGLE_BALL:
             stable.append(ball)
@@ -147,7 +147,6 @@ def generate_stable_balls(dataset: Dataset, config: GenerationConfig | None = No
 
 def reassign_residuals(pool: list[int], stable_balls: list[GranularBall],
                        values: np.ndarray, background_log_volume: float,
-                       cfg: MdlConfig = DEFAULT_MDL,
                        ) -> tuple[list[GranularBall], dict[int, int], list[int]]:
     """Attach each residual to the cheapest destination, or keep it in the background.
 
@@ -162,15 +161,15 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall],
         return [], {}, sorted(pool)
 
     d = values.shape[1]
-    base = np.array([l1_length(b.stats, d, cfg) for b in stable_balls])
+    frozen = BallStats(count=np.array([b.stats.count for b in stable_balls]),
+                       sum=np.stack([b.stats.sum for b in stable_balls]),
+                       sumsq=np.array([b.stats.sumsq for b in stable_balls]))
+    base = l1_length(frozen, d)
     attachments: dict[int, int] = {}
     background: list[int] = []
 
     for idx in sorted(pool):
-        x = values[idx]
-        grown = np.array([l1_length(stats_add_point(b.stats, x), d, cfg)
-                          for b in stable_balls])
-        deltas = grown - base
+        deltas = l1_length(stats_add_point(frozen, values[idx]), d) - base
         j = int(np.argmin(deltas))
         if deltas[j] <= background_log_volume:
             attachments[idx] = j
@@ -209,7 +208,6 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
     The dataset is expected to be normalized to the unit hypercube; pass an
     explicit ``background_log_volume`` to run on raw coordinates.
     """
-    cfg = config or GenerationConfig()
     if background_log_volume is None:
         lo, hi = dataset.values.min(), dataset.values.max()
         if lo < -1e-9 or hi > 1.0 + 1e-9:
@@ -217,9 +215,9 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
                 "values fall outside [0, 1]; normalize first or supply background_log_volume")
         background_log_volume = 0.0
 
-    stable, pool, trace = generate_stable_balls(dataset, cfg)
+    stable, pool, trace = generate_stable_balls(dataset, config)
     updated, _, background = reassign_residuals(
-        pool, stable, dataset.values, background_log_volume, cfg.mdl)
+        pool, stable, dataset.values, background_log_volume)
     ownership = assign_samples(dataset, updated)
     return GenerationResult(
         stable_balls=tuple(updated),

@@ -14,30 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, stats_sse
+from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, ball_radius, stats_sse
 from .errors import GbmdlError
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
 RADIUS_FLOOR = 1e-12
+VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
 
 
 class DegenerateDirectionError(GbmdlError):
     """All points coincide, so no principal direction exists."""
-
-
-@dataclass(frozen=True)
-class MdlConfig:
-    """Numerical knobs of the coding model.
-
-    ``variance_floor`` replaces a zero dispersion estimate so duplicate-heavy
-    balls keep a finite, comparable coding cost. Lengths are always in nats.
-    """
-
-    variance_floor: float = 1e-12
-
-
-DEFAULT_MDL = MdlConfig()
 
 
 @dataclass(frozen=True)
@@ -60,46 +47,35 @@ class PeelCandidate:
     residual_indices: np.ndarray
 
 
-def mle_mean_var(stats: BallStats, d: int,
-                 cfg: MdlConfig = DEFAULT_MDL) -> tuple[np.ndarray, float]:
+def _mle_var(stats: BallStats, d: int) -> float | np.ndarray:
+    return np.maximum(stats_sse(stats) / (d * stats.count), VARIANCE_FLOOR)
+
+
+def mle_mean_var(stats: BallStats, d: int) -> tuple[np.ndarray, float]:
     """Gaussian maximum-likelihood center and isotropic variance, floored."""
-    mean = stats.sum / stats.count
-    var = max(stats_sse(stats) / (d * stats.count), cfg.variance_floor)
-    return mean, var
+    return stats.sum / stats.count, _mle_var(stats, d)
 
 
-def l1_length(stats: BallStats, d: int, cfg: MdlConfig = DEFAULT_MDL) -> float:
+def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
     """Single-ball description length.
 
     Closed form of the Gaussian negative log-likelihood at the MLE plus a
     BIC-style penalty of (d+1)/2 * ln m for the d-dimensional center and the
-    scalar variance.
+    scalar variance. Stacked stats give one length per set.
     """
-    _, var = mle_mean_var(stats, d, cfg)
     m = stats.count
-    return 0.5 * m * d * (1.0 + math.log(2.0 * math.pi * var)) \
-        + 0.5 * (d + 1) * math.log(m)
+    return 0.5 * m * d * (1.0 + LOG_2PI + np.log(_mle_var(stats, d))) \
+        + 0.5 * (d + 1) * np.log(m)
 
 
-def _l1_vec(counts: np.ndarray, sses: np.ndarray, d: int, cfg: MdlConfig) -> np.ndarray:
-    # vectorized twin of l1_length for the split/peel scans
-    var = np.maximum(sses / (d * counts), cfg.variance_floor)
-    return 0.5 * counts * d * (1.0 + LOG_2PI + np.log(var)) \
-        + 0.5 * (d + 1) * np.log(counts)
-
-
-def partition_cost(m1: int, m2: int) -> float:
+def partition_cost(m1: int | np.ndarray, m2: int | np.ndarray) -> float | np.ndarray:
     """Entropy cost of announcing a bipartition of m1 + m2 items, in nats.
 
     Uses the convention 0 * ln 0 = 0, so degenerate partitions cost nothing.
+    m1 and m2 may be integers or broadcastable integer arrays.
     """
-    n = m1 + m2
-    cost = 0.0
-    for m in (m1, m2):
-        if m > 0:
-            pi = m / n
-            cost -= m * math.log(pi)
-    return cost
+    n = np.maximum(m1 + m2, 1)
+    return -(m1 * np.log(np.maximum(m1, 1) / n) + m2 * np.log(np.maximum(m2, 1) / n))
 
 
 def first_principal_direction(points: np.ndarray) -> np.ndarray:
@@ -137,51 +113,44 @@ def first_principal_direction(points: np.ndarray) -> np.ndarray:
     return v
 
 
-def log_ball_volume(d: int, r: float) -> float:
+def log_ball_volume(d: int, r: float | np.ndarray) -> float | np.ndarray:
     """ln of the volume of a d-dimensional Euclidean ball of radius r.
 
     Evaluated entirely in the log domain via lgamma, since the raw volume
     underflows for a few hundred dimensions at unit radius. The radius is
-    floored at RADIUS_FLOOR to keep the logarithm finite.
+    floored at RADIUS_FLOOR to keep the logarithm finite; an array of radii
+    gives one value per radius.
     """
-    r = max(r, RADIUS_FLOOR)
-    return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0) + d * math.log(r)
+    r = np.maximum(r, RADIUS_FLOOR)
+    return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0) + d * np.log(r)
 
 
-def log_shell_volume(d: int, r_out: float, r_core: float) -> float:
+def log_shell_volume(d: int, r_out: float,
+                     r_core: float | np.ndarray) -> float | np.ndarray:
     """ln of the volume between the core ball and the outer background ball.
 
-    Computed as a + ln(1 - e^(b-a)) with a, b the log ball volumes; degenerate
-    or underflowing shells return the fixed floor ln(1e-300).
+    Computed as a + ln(1 - e^(b-a)) with a, b the log ball volumes; an empty
+    core (r_core <= 0) gives a, and degenerate or underflowing shells give the
+    fixed floor ln(1e-300). An array of core radii gives one value per radius.
     """
     a = log_ball_volume(d, r_out)
-    if r_core <= 0.0:
-        return a
-    if r_core >= r_out:
-        return SHELL_LOG_FLOOR
     b = log_ball_volume(d, r_core)
-    if b >= a:
-        return SHELL_LOG_FLOOR
-    result = a + math.log1p(-math.exp(b - a))
-    if not math.isfinite(result) or result < SHELL_LOG_FLOOR:
-        return SHELL_LOG_FLOOR
-    return result
+    open_shell = (r_core < r_out) & (b < a)
+    # closed shells take e^-inf = 0 here and the floor below, so no log(0) is ever taken
+    shell = a + np.log1p(-np.exp(np.where(open_shell, b - a, -np.inf)))
+    shell = np.where(open_shell & (shell >= SHELL_LOG_FLOOR), shell, SHELL_LOG_FLOOR)
+    return np.where(r_core <= 0.0, a, shell)[()]
 
 
-def _prefix_stats(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    prefix_sum = np.cumsum(points, axis=0)
-    prefix_sq = np.cumsum(np.einsum("ij,ij->i", points, points))
-    return prefix_sum, prefix_sq
+def _prefix_stats(points: np.ndarray) -> BallStats:
+    """Stacked stats of every prefix: entry i covers points[:i + 1]."""
+    return BallStats(count=np.arange(1, len(points) + 1),
+                     sum=np.cumsum(points, axis=0),
+                     sumsq=np.cumsum(np.einsum("ij,ij->i", points, points)))
 
 
-def _prefix_sse(prefix_sum: np.ndarray, prefix_sq: np.ndarray,
-                sizes: np.ndarray) -> np.ndarray:
-    sums = prefix_sum[sizes - 1]
-    return np.maximum(prefix_sq[sizes - 1] - np.einsum("ij,ij->i", sums, sums) / sizes, 0.0)
-
-
-def l2_best_split(ball: GranularBall, values: np.ndarray, n_min: int,
-                  cfg: MdlConfig = DEFAULT_MDL) -> tuple[float, SplitCandidate | None]:
+def l2_best_split(ball: GranularBall, values: np.ndarray,
+                  n_min: int) -> tuple[float, SplitCandidate | None]:
     """Cheapest two-ball explanation over all feasible principal-direction cuts.
 
     Members are projected onto the first principal direction and stable-sorted
@@ -204,24 +173,14 @@ def l2_best_split(ball: GranularBall, values: np.ndarray, n_min: int,
     sorted_members = ball.members[order]
     sorted_pts = pts[order]
 
-    prefix_sum, prefix_sq = _prefix_stats(sorted_pts)
-    total_sum = prefix_sum[-1]
-    total_sq = prefix_sq[-1]
+    prefix = _prefix_stats(sorted_pts)
     d = pts.shape[1]
 
     m1 = np.arange(n_min, n_b - n_min + 1)
-    m2 = n_b - m1
-    sse_left = _prefix_sse(prefix_sum, prefix_sq, m1)
-    right_sums = total_sum - prefix_sum[m1 - 1]
-    sse_right = np.maximum(
-        (total_sq - prefix_sq[m1 - 1])
-        - np.einsum("ij,ij->i", right_sums, right_sums) / m2,
-        0.0,
-    )
-    pi1 = m1 / n_b
-    pi2 = m2 / n_b
-    entropy_cost = -(m1 * np.log(pi1) + m2 * np.log(pi2))
-    lengths = entropy_cost + _l1_vec(m1, sse_left, d, cfg) + _l1_vec(m2, sse_right, d, cfg)
+    left = BallStats(m1, prefix.sum[m1 - 1], prefix.sumsq[m1 - 1])
+    right = BallStats(n_b - m1, prefix.sum[-1] - left.sum, prefix.sumsq[-1] - left.sumsq)
+    lengths = partition_cost(left.count, right.count) \
+        + l1_length(left, d) + l1_length(right, d)
 
     best = int(np.argmin(lengths))  # first minimum = smallest m1
     cut = int(m1[best])
@@ -234,8 +193,8 @@ def l2_best_split(ball: GranularBall, values: np.ndarray, n_min: int,
     return candidate.l2, candidate
 
 
-def l3_best_peel(ball: GranularBall, values: np.ndarray, n_min: int,
-                 cfg: MdlConfig = DEFAULT_MDL) -> tuple[float, PeelCandidate | None]:
+def l3_best_peel(ball: GranularBall, values: np.ndarray,
+                 n_min: int) -> tuple[float, PeelCandidate | None]:
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
 
     Members are sorted ascending by distance to the full-ball center (ties by
@@ -258,32 +217,25 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray, n_min: int,
     sorted_pts = pts[order]
     d = pts.shape[1]
 
-    prefix_sum, prefix_sq = _prefix_stats(sorted_pts)
-    core_sizes = np.arange(n_min, n_b)          # q = n_b - size, so q runs n_b - n_min .. 1
-    core_l1 = _l1_vec(core_sizes, _prefix_sse(prefix_sum, prefix_sq, core_sizes), d, cfg)
+    prefix = _prefix_stats(sorted_pts)
+    q = np.arange(1, n_b - n_min + 1)
+    sizes = n_b - q
+    core = BallStats(sizes, prefix.sum[sizes - 1], prefix.sumsq[sizes - 1])
+    # each core radius is measured about that core's own mean
+    radii = np.array([ball_radius(sorted_pts[:size], core_sum / size)
+                      for size, core_sum in zip(sizes, core.sum)])
+    lengths = l1_length(core, d) + q * log_shell_volume(d, 2.0 * ball.radius, radii) \
+        + math.log(max(n_b, 2))
 
-    r_out = 2.0 * ball.radius
-    index_cost = math.log(max(n_b, 2))
-    best_q = -1
-    best_len = math.inf
-    for q in range(1, n_b - n_min + 1):         # ascending q: first strict minimum wins ties
-        size = n_b - q
-        core_mean = prefix_sum[size - 1] / size
-        core_radius = float(np.sqrt(((sorted_pts[:size] - core_mean) ** 2).sum(axis=1).max()))
-        length = float(core_l1[size - n_min]) \
-            + q * log_shell_volume(d, r_out, core_radius) + index_cost
-        if length < best_len:
-            best_len = length
-            best_q = q
-
-    size = n_b - best_q
+    best = int(np.argmin(lengths))  # first minimum = smallest q
+    size = int(sizes[best])
     candidate = PeelCandidate(
-        q=best_q,
-        l3=best_len,
+        q=int(q[best]),
+        l3=float(lengths[best]),
         core_indices=np.sort(sorted_members[:size]),
         residual_indices=np.sort(sorted_members[size:]),
     )
-    return best_len, candidate
+    return candidate.l3, candidate
 
 
 def _choose(l1: float, l2_star: float, l3_star: float) -> ModelChoice:
@@ -296,7 +248,6 @@ def _choose(l1: float, l2_star: float, l3_star: float) -> ModelChoice:
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray, n_min: int,
-                  cfg: MdlConfig = DEFAULT_MDL,
                   ) -> tuple[ModelVerdict, SplitCandidate | None, PeelCandidate | None]:
     """Run the three-way competition and keep the winning candidates around.
 
@@ -304,9 +255,9 @@ def evaluate_ball(ball: GranularBall, values: np.ndarray, n_min: int,
     peel, not just the verdict, so this returns all three.
     """
     d = values.shape[1]
-    l1 = l1_length(ball.stats, d, cfg)
-    l2_star, split = l2_best_split(ball, values, n_min, cfg)
-    l3_star, peel = l3_best_peel(ball, values, n_min, cfg)
+    l1 = float(l1_length(ball.stats, d))
+    l2_star, split = l2_best_split(ball, values, n_min)
+    l3_star, peel = l3_best_peel(ball, values, n_min)
     choice = _choose(l1, l2_star, l3_star)
     verdict = ModelVerdict(
         choice=choice,
@@ -320,7 +271,6 @@ def evaluate_ball(ball: GranularBall, values: np.ndarray, n_min: int,
     return verdict, split, peel
 
 
-def select_model(ball: GranularBall, values: np.ndarray, n_min: int,
-                 cfg: MdlConfig = DEFAULT_MDL) -> ModelVerdict:
+def select_model(ball: GranularBall, values: np.ndarray, n_min: int) -> ModelVerdict:
     """Pick the shortest of the three local explanations for one ball."""
-    return evaluate_ball(ball, values, n_min, cfg)[0]
+    return evaluate_ball(ball, values, n_min)[0]

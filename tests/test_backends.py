@@ -62,19 +62,6 @@ class TestClusterOrPassthrough:
         with pytest.raises(ConfigurationError):
             cluster_or_passthrough([], K=2, backend="ac")
 
-    def test_size_weighted_ward_option(self):
-        # weighting the 5-member ball raises its merge cost enough to flip
-        # the first merge: 5/6 * 0.18 > 0.5 * 0.245 while 0.5 * 0.18 < 0.5 * 0.245
-        values = np.vstack([np.full((5, 2), 0.1), [[0.4, 0.4]], [[0.75, 0.75]]])
-        balls = [GranularBall.from_members(values, np.arange(5)),
-                 GranularBall.from_members(values, np.array([5])),
-                 GranularBall.from_members(values, np.array([6]))]
-        plain = cluster_or_passthrough(balls, K=2, backend="ac").ball_labels
-        weighted = cluster_or_passthrough(balls, K=2, backend="ac",
-                                          weight_by_size=True).ball_labels
-        assert plain[0] == plain[1] != plain[2]
-        assert weighted[1] == weighted[2] != weighted[0]
-
 
 class TestWard:
     def test_closest_pair_merges_first(self):

@@ -83,6 +83,10 @@ class TestRunConfig:
             RunConfig(input_path="x", k="three")
         with pytest.raises(ConfigurationError):
             RunConfig(input_path="x", k="0")
+        with pytest.raises(ConfigurationError, match="n_min"):
+            RunConfig(input_path="x", n_min=0)
+        with pytest.raises(ConfigurationError, match="k0"):
+            RunConfig(input_path="x", k0=0)
 
 
 class TestRunPipeline:
@@ -185,6 +189,11 @@ class TestCommandLine:
         proc = self.cli("--input", str(tmp_path / "nothing.csv"))
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_single_labelled_row_reports_data_error(self, tmp_path):
+        proc = self.cli("--input", write(tmp_path / "one.csv", "0.5,0.25,a\n"))
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_overrides_accepted(self, blob_csv):
         proc = self.cli("--input", blob_csv, "--n-min", "4", "--k0", "6",

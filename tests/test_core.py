@@ -9,7 +9,6 @@ from gbmdl.core import (
     ball_radius,
     stats_add_point,
     stats_from_points,
-    stats_remove_point,
     stats_sse,
 )
 from gbmdl.errors import DataQualityError
@@ -80,16 +79,25 @@ class TestStats:
         noisy = stats_from_points(np.full((5, 3), 0.4))
         assert 0.0 <= stats_sse(noisy) < 1e-12
 
-    def test_add_then_remove_restores(self):
+    def test_add_matches_recount(self):
         rng = np.random.default_rng(7)
-        pts = rng.random((10, 4))
-        stats = stats_from_points(pts)
+        sets = [rng.random((n, 4)) for n in (10, 1, 3)]
         x = rng.random(4)
-        restored = stats_remove_point(stats_add_point(stats, x), x)
-        assert restored.count == stats.count
-        assert np.all(np.abs(restored.sum - stats.sum) < 1e-12)
-        assert abs(restored.sumsq - stats.sumsq) < 1e-12
-        assert abs(stats_sse(restored) - stats_sse(stats)) < 1e-12
+        base = [stats_from_points(pts) for pts in sets]
+        grown = [stats_add_point(stats, x) for stats in base]
+        for pts, stats in zip(sets, grown):
+            recount = stats_from_points(np.vstack([pts, x]))
+            assert stats.count == recount.count
+            assert np.all(np.abs(stats.sum - recount.sum) < 1e-12)
+            assert abs(stats.sumsq - recount.sumsq) < 1e-12
+        # stacked stats add x to every set and match the one-at-a-time results
+        stacked = BallStats(count=np.array([s.count for s in base]),
+                            sum=np.stack([s.sum for s in base]),
+                            sumsq=np.array([s.sumsq for s in base]))
+        grown_stacked = stats_add_point(stacked, x)
+        assert grown_stacked.count.tolist() == [s.count for s in grown]
+        assert np.array_equal(grown_stacked.sum, np.stack([s.sum for s in grown]))
+        assert np.array_equal(stats_sse(grown_stacked), [stats_sse(s) for s in grown])
 
     def test_incremental_matches_two_pass(self):
         rng = np.random.default_rng(123)

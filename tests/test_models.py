@@ -5,8 +5,8 @@ import pytest
 
 from gbmdl.core import GranularBall, ModelChoice, stats_from_points
 from gbmdl.models import (
+    VARIANCE_FLOOR,
     DegenerateDirectionError,
-    MdlConfig,
     first_principal_direction,
     l1_length,
     l2_best_split,
@@ -22,7 +22,7 @@ from oracles import best_peel_bruteforce, best_split_bruteforce, l1_numeric
 from oracles import log_ball_volume as oracle_log_ball_volume
 from oracles import log_shell_volume as oracle_log_shell_volume
 
-FLOOR = MdlConfig().variance_floor
+FLOOR = VARIANCE_FLOOR
 
 
 def ball_of(points) -> GranularBall:
@@ -104,6 +104,9 @@ class TestPartitionCost:
     def test_degenerate_partition_free(self):
         assert partition_cost(5, 0) == 0.0
         assert partition_cost(0, 5) == 0.0
+        m1, m2 = np.array([5, 0, 0, 1, 2, 7]), np.array([0, 5, 0, 2, 2, 3])
+        assert partition_cost(m1, m2).tolist() == [
+            partition_cost(int(a), int(b)) for a, b in zip(m1, m2)]
 
     def test_stirling_binomial_approximation(self):
         # the entropy cost tracks ln C(n, m1) and tightens as n grows
@@ -174,6 +177,9 @@ class TestLogVolumes:
     def test_shell_degenerate(self):
         assert log_shell_volume(3, 1.0, 1.0) == math.log(1e-300)
         assert log_shell_volume(3, 1.0, 2.0) == math.log(1e-300)
+        radii = np.array([1.0, 2.0, 0.0, 0.5, 1e-13])
+        assert log_shell_volume(3, 1.0, radii).tolist() == [
+            log_shell_volume(3, 1.0, float(r)) for r in radii]
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(31)
@@ -185,6 +191,11 @@ class TestLogVolumes:
                 oracle_log_shell_volume(d, r_out, r_core), rel=1e-9)
             assert log_ball_volume(d, r_out) == pytest.approx(
                 oracle_log_ball_volume(d, r_out), rel=1e-9)
+            radii = np.array([0.0, r_core, r_out, 1.5 * r_out])
+            assert log_shell_volume(d, r_out, radii).tolist() == [
+                log_shell_volume(d, r_out, float(r)) for r in radii]
+            assert log_ball_volume(d, radii).tolist() == [
+                log_ball_volume(d, float(r)) for r in radii]
 
 
 class TestL2BestSplit:
