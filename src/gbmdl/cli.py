@@ -10,11 +10,14 @@ sees them.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import io
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +55,7 @@ class RunConfig:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         if self.format not in ("json", "csv"):
             raise ConfigurationError("format must be json or csv")
-        for name in ("n_min", "k0"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
+        GenerationConfig(n_min=self.n_min, k0=self.k0)   # rejects overrides below 1
         if self.k != "auto":
             try:
                 k = int(self.k)
@@ -115,12 +115,10 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def _detect_header(rows: list[list[str]]) -> bool:
-    if len(rows) < 2:
-        return False
+def _is_header(first: list[str], second: list[str] | None) -> bool:
     # a header exists where a column is non-numeric on row 1 but numeric below
-    return any(not _is_number(first) and _is_number(second)
-               for first, second in zip(rows[0], rows[1]))
+    return second is not None and any(
+        not _is_number(a) and _is_number(b) for a, b in zip(first, second))
 
 
 def _resolve_label_column(label_column: str, header: list[str] | None,
@@ -138,7 +136,7 @@ def _resolve_label_column(label_column: str, header: list[str] | None,
         if label_column not in header:
             raise CsvParseError(
                 f"label column {label_column!r} not found in header {header}") from None
-        return header.index(label_column)
+        idx = header.index(label_column)
     if not -width <= idx < width:
         raise CsvParseError(f"label column index {idx} out of range for {width} columns")
     return idx % width
@@ -151,52 +149,53 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
     data). The label column may be a header name, a 0-based index, "last", or
     "none" for unlabeled data; label values become integer ids in order of
     first appearance. Parse failures name the offending 1-based row and
-    column.
+    column. Rows are parsed one at a time straight into a float64 buffer, so
+    memory stays O(n·d).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            return _parse_rows((row for row in csv.reader(fh) if row), path, label_column)
     except OSError as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from None
-    if not rows:
+
+
+def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Dataset:
+    first = next(rows, None)
+    if first is None:
         raise CsvParseError(f"{path} contains no data rows")
+    second = next(rows, None)
+    if _is_header(first, second):
+        header, offset, head = [cell.strip() for cell in first], 2, [second]
+    else:
+        header, offset, head = None, 1, [first] if second is None else [first, second]
 
-    has_header = _detect_header(rows)
-    header = [cell.strip() for cell in rows[0]] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise CsvParseError(f"{path} contains a header but no data rows")
-
-    width = len(data_rows[0])
+    width = len(head[0])
     label_idx = _resolve_label_column(label_column, header, width)
+    d = width - (label_idx is not None)
+    if d == 0:
+        raise CsvParseError(f"row {offset}: no feature columns remain")
 
-    features: list[list[float]] = []
-    raw_labels: list[str] = []
-    offset = 2 if has_header else 1
-    for r, row in enumerate(data_rows):
+    features = array.array("d")
+    labels = array.array("q")
+    label_ids: dict[str, int] = {}
+    for r, row in enumerate(itertools.chain(head, rows), start=offset):
         if len(row) != width:
-            raise CsvParseError(
-                f"row {r + offset}: expected {width} columns, found {len(row)}")
-        feats = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            cell = cell.strip()
-            if not _is_number(cell):
-                raise CsvParseError(f"row {r + offset}, column {c + 1}: "
-                                    f"non-numeric feature value {cell!r}")
-            feats.append(float(cell))
-        if not feats:
-            raise CsvParseError(f"row {r + offset}: no feature columns remain")
-        features.append(feats)
+            raise CsvParseError(f"row {r}: expected {width} columns, found {len(row)}")
+        if label_idx is not None:
+            labels.append(label_ids.setdefault(row.pop(label_idx).strip(), len(label_ids)))
+        try:
+            features.extend(map(float, row))
+        except ValueError:
+            c = next(c for c, cell in enumerate(row) if not _is_number(cell))
+            cell = row[c].strip()
+            if label_idx is not None and c >= label_idx:
+                c += 1                                   # count the popped label column
+            raise CsvParseError(f"row {r}, column {c + 1}: "
+                                f"non-numeric feature value {cell!r}") from None
 
-    labels = None
-    if label_idx is not None:
-        seen: dict[str, int] = {}
-        labels = np.array([seen.setdefault(v, len(seen)) for v in raw_labels],
-                          dtype=np.int64)
-    return Dataset(values=np.asarray(features, dtype=np.float64), labels=labels)
+    values = np.frombuffer(features, dtype=np.float64).reshape(-1, d)
+    return Dataset(values=values,
+                   labels=None if label_idx is None else np.frombuffer(labels, dtype=np.int64))
 
 
 def _mean_std(xs: list[float]) -> tuple[float, float]:

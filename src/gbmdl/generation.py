@@ -23,8 +23,12 @@ from .core import (
     ModelVerdict,
     stats_add_point,
 )
-from .errors import DataQualityError
+from .errors import ConfigurationError, DataQualityError
 from .models import evaluate_ball, l1_length
+
+# Ownership prices at most this many sample-to-center distances at a time
+# (512 KB of float64), so its scratch memory does not grow with n.
+OWNERSHIP_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,12 @@ class GenerationConfig:
 
     n_min: int | None = None
     k0: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("n_min", "k0"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
 
 
 def adaptive_n_min(n: int, d: int) -> int:
@@ -190,15 +200,25 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall],
 
 
 def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.ndarray:
-    """Map every sample to the stable ball with the nearest center (ties: lowest index)."""
+    """Map every sample to the stable ball with the nearest center (ties: lowest index).
+
+    Rows are priced in blocks of about ``OWNERSHIP_BLOCK_CELLS`` distances with
+    the same per-row formula at any block size. BLAS may round the product
+    differently per block, which can only matter for centers tied within an ulp.
+    """
     if not stable_balls:
         raise ValueError("need at least one stable ball")
     values = dataset.values
     centers = np.stack([b.center for b in stable_balls])
-    sq_v = np.einsum("ij,ij->i", values, values)
     sq_c = np.einsum("ij,ij->i", centers, centers)
-    dist2 = sq_v[:, None] - 2.0 * (values @ centers.T) + sq_c[None, :]
-    return np.argmin(dist2, axis=1).astype(np.int64)
+    owner = np.empty(dataset.n, dtype=np.int64)
+    rows = max(1, OWNERSHIP_BLOCK_CELLS // len(stable_balls))
+    for start in range(0, dataset.n, rows):
+        block = values[start:start + rows]
+        sq_v = np.einsum("ij,ij->i", block, block)
+        dist2 = sq_v[:, None] - 2.0 * (block @ centers.T) + sq_c[None, :]
+        owner[start:start + rows] = np.argmin(dist2, axis=1)
+    return owner
 
 
 def generate(dataset: Dataset, config: GenerationConfig | None = None,

@@ -45,6 +45,10 @@ class TestLoadCsv:
         path = write(tmp_path / "d.csv", "1.0,0\nabc,1\n")
         with pytest.raises(CsvParseError, match=r"row 2, column 1"):
             load_csv(path)
+        # blank lines are not counted; columns after the label keep their number
+        path = write(tmp_path / "d2.csv", "0,1.0,2.0\n\n1,2.0,abc\n")
+        with pytest.raises(CsvParseError, match=r"row 2, column 3"):
+            load_csv(path, label_column="0")
 
     def test_ragged_rows_named(self, tmp_path):
         path = write(tmp_path / "e.csv", "1.0,2.0,0\n1.0,0\n")
@@ -67,6 +71,11 @@ class TestLoadCsv:
         path = write(tmp_path / "h.csv", "a,b\n1,2\n")
         with pytest.raises(CsvParseError, match="nope"):
             load_csv(path, label_column="nope")
+
+    def test_label_name_beyond_row_width_rejected(self, tmp_path):
+        path = write(tmp_path / "i.csv", "a,b,c\n1,0\n2,1\n")
+        with pytest.raises(CsvParseError, match="out of range"):
+            load_csv(path, label_column="c")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvParseError):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gbmdl import generation
 from gbmdl.core import Dataset, GranularBall, ModelChoice
-from gbmdl.errors import DataQualityError
+from gbmdl.errors import ConfigurationError, DataQualityError
 from gbmdl.generation import (
+    GenerationConfig,
     adaptive_n_min,
     assign_samples,
     farthest_point_bisect,
@@ -163,6 +165,12 @@ class TestGenerate:
         sets_b = member_sets(generate(permuted), permuted.values)
         assert sets_a == sets_b
 
+    @pytest.mark.parametrize("field", ["n_min", "k0"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_overrides_below_one(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            GenerationConfig(**{field: value})
+
     def test_rejects_unnormalized_without_volume(self):
         ds = Dataset(values=np.array([[0.0], [5.0], [10.0]]))
         with pytest.raises(DataQualityError):
@@ -255,3 +263,22 @@ class TestAssignSamples:
         balls = [GranularBall.from_members(values, np.array([0])),
                  GranularBall.from_members(values, np.array([1]))]
         assert assign_samples(Dataset(values=values), balls)[2] == 0
+
+    def test_blocks_match_dense_formula(self, monkeypatch):
+        # eighths keep every product and sum exact, so block size cannot move a bit
+        rng = np.random.default_rng(26)
+        values = rng.integers(0, 8, size=(53, 2)) / 8.0
+        ds = Dataset(values=values)
+        firsts = [0, 5, 9, 5, 0, 17]                    # balls 3 and 4 duplicate 1 and 0
+        balls = [GranularBall.from_members(values, np.array([i])) for i in firsts]
+        centers = np.stack([b.center for b in balls])
+        dist2 = ((values ** 2).sum(axis=1)[:, None] - 2.0 * (values @ centers.T)
+                 + (centers ** 2).sum(axis=1)[None, :])
+        expected = np.argmin(dist2, axis=1)
+        assert not np.isin(expected, [3, 4]).any()
+        assert np.isin(expected, [0, 1]).sum() > 6
+        for cells in (1, 13, 20, 41, 1 << 16):          # blocks of 1, 2, 3, 6 and all rows
+            monkeypatch.setattr(generation, "OWNERSHIP_BLOCK_CELLS", cells)
+            owner = assign_samples(ds, balls)
+            assert owner.dtype == np.int64
+            assert np.array_equal(owner, expected)

@@ -1,8 +1,9 @@
 """Whole-pipeline properties over tiny, duplicate-heavy and badly scaled inputs.
 
 Every input either runs (exit 0) or is rejected as a package error (exit 2);
-no other exception escapes the CLI. Generation owns every sample, and two
-runs on the same input are bit-identical.
+no other exception escapes the CLI. Generation owns every sample, two runs on
+the same input are bit-identical, and every backend labels the balls in
+[0, K).
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmdl import cli
+from gbmdl.backends import BACKENDS, cluster_or_passthrough
 from gbmdl.core import Dataset
 from gbmdl.generation import generate
 from gbmdl.preprocess import minmax_normalize
@@ -29,7 +31,7 @@ COMMANDS = (
 @st.composite
 def labelled_matrices(draw):
     n = draw(st.integers(1, 6))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 200))
     # three levels per cell make duplicate rows and coinciding balls common
     cells = draw(st.lists(st.integers(0, 2), min_size=n * d, max_size=n * d))
     values = np.asarray(cells, dtype=np.float64).reshape(n, d)
@@ -37,7 +39,7 @@ def labelled_matrices(draw):
         values[:, draw(st.integers(0, d - 1))] = 1.0
     values *= draw(st.sampled_from([1e-8, 1.0, 1e8]))
     labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return values, labels
+    return values, labels, draw(st.integers(1, 4))
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -50,7 +52,7 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(labelled_matrices())
 def test_pipeline_total_and_deterministic(case):
-    values, labels = case
+    values, labels, K = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_text("".join(",".join(repr(float(v)) for v in row) + f",{label}\n"
@@ -72,3 +74,10 @@ def test_pipeline_total_and_deterministic(case):
     assert np.array_equal(a.residual_background, b.residual_background)
     assert [ball.members.tolist() for ball in a.stable_balls] \
         == [ball.members.tolist() for ball in b.stable_balls]
+
+    for backend in BACKENDS:
+        if backend == "none" and len(a.stable_balls) > K:
+            continue                    # passthrough refuses more balls than clusters
+        ball_labels = cluster_or_passthrough(list(a.stable_balls), K, backend).ball_labels
+        assert ball_labels.shape == (len(a.stable_balls),)
+        assert 0 <= ball_labels.min() and ball_labels.max() < K
