@@ -28,15 +28,8 @@ from .generation import (
     reassign_residuals,
 )
 from .metrics import ContingencyTable, acc, ari, nmi
-from .models import (
-    PeelCandidate,
-    SplitCandidate,
-    l1_length,
-    l2_best_split,
-    l3_best_peel,
-    select_model,
-)
-from .preprocess import NormalizationRecord, background_log_volume, minmax_normalize
+from .models import evaluate_ball, l1_length, l2_best_split, l3_best_peel
+from .preprocess import background_log_volume, minmax_normalize
 
 __version__ = "0.1.0"
 
@@ -54,9 +47,6 @@ __all__ = [
     "GranularBall",
     "ModelChoice",
     "ModelVerdict",
-    "NormalizationRecord",
-    "PeelCandidate",
-    "SplitCandidate",
     "acc",
     "adaptive_n_min",
     "agglomerative_ward",
@@ -64,6 +54,7 @@ __all__ = [
     "assign_samples",
     "background_log_volume",
     "cluster_or_passthrough",
+    "evaluate_ball",
     "farthest_point_bisect",
     "generate",
     "generate_stable_balls",
@@ -77,5 +68,4 @@ __all__ = [
     "minmax_normalize",
     "nmi",
     "reassign_residuals",
-    "select_model",
 ]

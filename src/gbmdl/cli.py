@@ -27,7 +27,7 @@ from .core import Dataset
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import GenerationConfig, generate
 from .metrics import acc, ari, nmi
-from .preprocess import NormalizationRecord, background_log_volume, minmax_normalize
+from .preprocess import background_log_volume, minmax_normalize
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return _parse_rows((row for row in csv.reader(fh) if row), path, label_column)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -215,11 +215,10 @@ def run_pipeline(config: RunConfig) -> EvaluationReport:
             "scoring against labels needs at least two samples; pass --label-col none")
 
     if config.normalize:
-        dataset, _ = minmax_normalize(dataset)
+        dataset = minmax_normalize(dataset)
         bg_volume = 0.0
     else:
-        record = NormalizationRecord.from_values(dataset.values)
-        bg_volume = background_log_volume(record, normalized=False)
+        bg_volume = background_log_volume(dataset.values)
 
     if config.k == "auto":
         if dataset.labels is None:

@@ -141,16 +141,16 @@ def generate_stable_balls(dataset: Dataset, config: GenerationConfig | None = No
 
     while queue:
         ball = queue.popleft()
-        verdict, split, peel = evaluate_ball(ball, values, n_min)
+        verdict, parts = evaluate_ball(ball, values, n_min)
         trace.append((ball.size, verdict))
-        if verdict.choice is ModelChoice.SINGLE_BALL:
+        if parts is None:
             stable.append(ball)
-        elif verdict.choice is ModelChoice.TWO_BALL:
-            queue.append(GranularBall.from_members(values, split.left_indices))
-            queue.append(GranularBall.from_members(values, split.right_indices))
+            continue
+        queue.append(GranularBall.from_members(values, parts[0]))
+        if verdict.choice is ModelChoice.TWO_BALL:
+            queue.append(GranularBall.from_members(values, parts[1]))
         else:
-            queue.append(GranularBall.from_members(values, peel.core_indices))
-            pool.extend(int(i) for i in peel.residual_indices)
+            pool.extend(parts[1].tolist())
 
     return stable, sorted(pool), trace
 
@@ -203,21 +203,24 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     """Map every sample to the stable ball with the nearest center (ties: lowest index).
 
     Rows are priced in blocks of about ``OWNERSHIP_BLOCK_CELLS`` distances with
-    the same per-row formula at any block size. BLAS may round the product
-    differently per block, which can only matter for centers tied within an ulp.
+    the same per-row formula at any block size. Duplicate centers are priced
+    once, at their lowest ball index: BLAS may round identical columns of the
+    product differently, which would otherwise hand rows to a later copy.
     """
     if not stable_balls:
         raise ValueError("need at least one stable ball")
     values = dataset.values
     centers = np.stack([b.center for b in stable_balls])
+    keep = np.sort(np.unique(centers, axis=0, return_index=True)[1])
+    centers = centers[keep]
     sq_c = np.einsum("ij,ij->i", centers, centers)
     owner = np.empty(dataset.n, dtype=np.int64)
-    rows = max(1, OWNERSHIP_BLOCK_CELLS // len(stable_balls))
+    rows = max(1, OWNERSHIP_BLOCK_CELLS // len(keep))
     for start in range(0, dataset.n, rows):
         block = values[start:start + rows]
         sq_v = np.einsum("ij,ij->i", block, block)
         dist2 = sq_v[:, None] - 2.0 * (block @ centers.T) + sq_c[None, :]
-        owner[start:start + rows] = np.argmin(dist2, axis=1)
+        owner[start:start + rows] = keep[np.argmin(dist2, axis=1)]
     return owner
 
 

@@ -10,7 +10,6 @@ wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,35 +26,6 @@ class DegenerateDirectionError(GbmdlError):
     """All points coincide, so no principal direction exists."""
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """One feasible two-ball cut along the sorted principal projection."""
-
-    cut_position: int
-    l2: float
-    left_indices: np.ndarray
-    right_indices: np.ndarray
-
-
-@dataclass(frozen=True)
-class PeelCandidate:
-    """One feasible core-plus-residual peel, identified by the residual size q."""
-
-    q: int
-    l3: float
-    core_indices: np.ndarray
-    residual_indices: np.ndarray
-
-
-def _mle_var(stats: BallStats, d: int) -> float | np.ndarray:
-    return np.maximum(stats_sse(stats) / (d * stats.count), VARIANCE_FLOOR)
-
-
-def mle_mean_var(stats: BallStats, d: int) -> tuple[np.ndarray, float]:
-    """Gaussian maximum-likelihood center and isotropic variance, floored."""
-    return stats.sum / stats.count, _mle_var(stats, d)
-
-
 def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
     """Single-ball description length.
 
@@ -64,7 +34,8 @@ def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
     scalar variance. Stacked stats give one length per set.
     """
     m = stats.count
-    return 0.5 * m * d * (1.0 + LOG_2PI + np.log(_mle_var(stats, d))) \
+    var = np.maximum(stats_sse(stats) / (d * m), VARIANCE_FLOOR)
+    return 0.5 * m * d * (1.0 + LOG_2PI + np.log(var)) \
         + 0.5 * (d + 1) * np.log(m)
 
 
@@ -149,14 +120,18 @@ def _prefix_stats(points: np.ndarray) -> BallStats:
                      sumsq=np.cumsum(np.einsum("ij,ij->i", points, points)))
 
 
+Parts = tuple[np.ndarray, np.ndarray]
+
+
 def l2_best_split(ball: GranularBall, values: np.ndarray,
-                  n_min: int) -> tuple[float, SplitCandidate | None]:
+                  n_min: int) -> tuple[float, Parts | None]:
     """Cheapest two-ball explanation over all feasible principal-direction cuts.
 
     Members are projected onto the first principal direction and stable-sorted
     by (projection, original index); every prefix length m1 with both halves
     at least n_min is evaluated from running sufficient statistics, so each
-    cut costs O(d). Returns (+inf, None) when no cut is feasible or the
+    cut costs O(d). Returns the best length and the (left, right) member
+    indices, each ascending, or (+inf, None) when no cut is feasible or the
     direction is degenerate.
     """
     n_b = ball.size
@@ -184,17 +159,11 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
 
     best = int(np.argmin(lengths))  # first minimum = smallest m1
     cut = int(m1[best])
-    candidate = SplitCandidate(
-        cut_position=cut,
-        l2=float(lengths[best]),
-        left_indices=np.sort(sorted_members[:cut]),
-        right_indices=np.sort(sorted_members[cut:]),
-    )
-    return candidate.l2, candidate
+    return float(lengths[best]), (np.sort(sorted_members[:cut]), np.sort(sorted_members[cut:]))
 
 
 def l3_best_peel(ball: GranularBall, values: np.ndarray,
-                 n_min: int) -> tuple[float, PeelCandidate | None]:
+                 n_min: int) -> tuple[float, Parts | None]:
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
 
     Members are sorted ascending by distance to the full-ball center (ties by
@@ -202,8 +171,9 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     n_B - q points; its cost is the single-ball length of the core plus
     q times the log shell volume between the core radius (about the core's own
     mean) and the outer background radius 2 * r_B, plus ln(max(n_B, 2)) to
-    encode q itself. Returns (+inf, None) when n_B <= n_min, or when the ball
-    radius sits at or below the radius floor so no residual shell exists.
+    encode q itself. Returns the best length and the (core, residual) member
+    indices, each ascending, or (+inf, None) when n_B <= n_min, or when the
+    ball radius sits at or below the radius floor so no residual shell exists.
     """
     n_b = ball.size
     if n_b <= n_min:
@@ -229,48 +199,23 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
 
     best = int(np.argmin(lengths))  # first minimum = smallest q
     size = int(sizes[best])
-    candidate = PeelCandidate(
-        q=int(q[best]),
-        l3=float(lengths[best]),
-        core_indices=np.sort(sorted_members[:size]),
-        residual_indices=np.sort(sorted_members[size:]),
-    )
-    return candidate.l3, candidate
+    return float(lengths[best]), (np.sort(sorted_members[:size]), np.sort(sorted_members[size:]))
 
 
-def _choose(l1: float, l2_star: float, l3_star: float) -> ModelChoice:
-    # exact ties prefer the least-destructive explanation: keep > peel > split
-    if l1 <= l2_star and l1 <= l3_star:
-        return ModelChoice.SINGLE_BALL
-    if l3_star <= l2_star:
-        return ModelChoice.CORE_RESIDUAL
-    return ModelChoice.TWO_BALL
+def evaluate_ball(ball: GranularBall, values: np.ndarray,
+                  n_min: int) -> tuple[ModelVerdict, Parts | None]:
+    """Run the three-way competition and return the verdict with the winning partition.
 
-
-def evaluate_ball(ball: GranularBall, values: np.ndarray, n_min: int,
-                  ) -> tuple[ModelVerdict, SplitCandidate | None, PeelCandidate | None]:
-    """Run the three-way competition and keep the winning candidates around.
-
-    The generation loop needs the concrete index sets of the winning split or
-    peel, not just the verdict, so this returns all three.
+    The partition is None when the ball stays whole (M1), the (left, right)
+    split for M2 and the (core, residual) peel for M3. Exact ties prefer the
+    least-destructive explanation: keep > peel > split.
     """
-    d = values.shape[1]
-    l1 = float(l1_length(ball.stats, d))
+    l1 = float(l1_length(ball.stats, values.shape[1]))
     l2_star, split = l2_best_split(ball, values, n_min)
     l3_star, peel = l3_best_peel(ball, values, n_min)
-    choice = _choose(l1, l2_star, l3_star)
-    verdict = ModelVerdict(
-        choice=choice,
-        l1=l1,
-        l2_star=l2_star,
-        l3_star=l3_star,
-        split=(split.left_indices, split.right_indices)
-        if choice is ModelChoice.TWO_BALL else None,
-        peel_q=peel.q if choice is ModelChoice.CORE_RESIDUAL else None,
-    )
-    return verdict, split, peel
-
-
-def select_model(ball: GranularBall, values: np.ndarray, n_min: int) -> ModelVerdict:
-    """Pick the shortest of the three local explanations for one ball."""
-    return evaluate_ball(ball, values, n_min)[0]
+    if l1 <= l2_star and l1 <= l3_star:
+        return ModelVerdict(ModelChoice.SINGLE_BALL, l1, l2_star, l3_star), None
+    if l3_star <= l2_star:
+        return ModelVerdict(ModelChoice.CORE_RESIDUAL, l1, l2_star, l3_star,
+                            peel_q=peel[1].size), peel
+    return ModelVerdict(ModelChoice.TWO_BALL, l1, l2_star, l3_star, split=split), split

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset
@@ -11,45 +9,24 @@ from .core import Dataset
 RANGE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Per-feature ranges observed during normalization.
+def minmax_normalize(dataset: Dataset) -> Dataset:
+    """Rescale every feature to [0, 1]; constant features map to 0.
 
-    Constant features (max == min) are mapped to 0 rather than dropped, so
-    the declared dimensionality stays intact for every downstream formula.
+    Constant features are kept rather than dropped, so the declared
+    dimensionality stays intact for every downstream formula.
     """
-
-    min: np.ndarray
-    max: np.ndarray
-    constant_features: tuple[int, ...]
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "NormalizationRecord":
-        mins = values.min(axis=0)
-        maxs = values.max(axis=0)
-        constant = tuple(int(j) for j in np.flatnonzero(maxs == mins))
-        return cls(min=mins, max=maxs, constant_features=constant)
+    mins = dataset.values.min(axis=0)
+    spread = dataset.values.max(axis=0) - mins
+    scaled = (dataset.values - mins) / np.where(spread > 0, spread, 1.0)
+    return Dataset(values=scaled, labels=dataset.labels)
 
 
-def minmax_normalize(dataset: Dataset) -> tuple[Dataset, NormalizationRecord]:
-    """Rescale every feature to [0, 1]; constant features map to 0."""
-    record = NormalizationRecord.from_values(dataset.values)
-    spread = record.max - record.min
-    safe = np.where(spread > 0, spread, 1.0)
-    scaled = (dataset.values - record.min) / safe
-    if record.constant_features:
-        scaled[:, list(record.constant_features)] = 0.0
-    return Dataset(values=scaled, labels=dataset.labels), record
+def background_log_volume(values: np.ndarray) -> float:
+    """Log-volume of the bounding box of raw values, the background coding space.
 
-
-def background_log_volume(record: NormalizationRecord, normalized: bool = True) -> float:
-    """Log-volume of the global bounding box used as the background coding space.
-
-    After normalization the box is the unit hypercube, so the log-volume is
-    exactly 0. On raw data it is the sum of log feature ranges, each floored
-    at RANGE_FLOOR to keep the logarithm finite.
+    It is the sum of log feature ranges, each floored at RANGE_FLOOR to keep
+    the logarithm finite. Normalized data needs no call: the unit hypercube
+    has log-volume exactly 0.
     """
-    if normalized:
-        return 0.0
-    spread = np.maximum(record.max - record.min, RANGE_FLOOR)
+    spread = np.maximum(values.max(axis=0) - values.min(axis=0), RANGE_FLOOR)
     return float(np.log(spread).sum())

@@ -78,7 +78,11 @@ def log_shell_volume(d: int, r_out: float, r_core: float) -> float:
 def best_split_bruteforce(points: np.ndarray, members: np.ndarray,
                           direction: np.ndarray, n_min: int):
     """Exhaustive two-ball scan: at every feasible cut, recompute both halves
-    from raw points. Returns (best length, best prefix size m1)."""
+    from raw points.
+
+    Returns (best length, (left, right)): the first m1 members in (projection,
+    index) order and the rest, each as ascending member indices; the pair is
+    None when no cut is feasible."""
     proj = points @ direction
     order = np.lexsort((members, proj))
     sorted_pts = points[order]
@@ -89,13 +93,17 @@ def best_split_bruteforce(points: np.ndarray, members: np.ndarray,
         length = entropy_partition_cost(m1, n - m1) + l1_closed(left) + l1_closed(right)
         if length < best_len:
             best_len, best_m1 = length, m1
-    return best_len, best_m1
+    if best_m1 is None:
+        return best_len, None
+    return best_len, (np.sort(members[order[:best_m1]]), np.sort(members[order[best_m1:]]))
 
 
 def best_peel_bruteforce(points: np.ndarray, members: np.ndarray, n_min: int):
     """Exhaustive core-plus-residual scan with full per-candidate recomputation.
 
-    Returns (best length, best residual size q)."""
+    Returns (best length, (core, residual)): the residual is the last q
+    members in (distance, index) order, and both are ascending member indices;
+    the pair is None when no peel is feasible."""
     pts = np.atleast_2d(points)
     n, d = pts.shape
     center = pts.mean(axis=0)
@@ -115,7 +123,17 @@ def best_peel_bruteforce(points: np.ndarray, members: np.ndarray, n_min: int):
             + math.log(max(n, 2))
         if length < best_len:
             best_len, best_q = length, q
-    return best_len, best_q
+    if best_q is None:
+        return best_len, None
+    return best_len, (np.sort(members[order[:n - best_q]]), np.sort(members[order[n - best_q:]]))
+
+
+def is_ascending_partition(parts, members: np.ndarray) -> bool:
+    """Both sides strictly ascending, disjoint, and together exactly ``members``."""
+    a, b = parts
+    return all(np.all(np.diff(side) > 0) for side in parts) \
+        and not np.intersect1d(a, b).size \
+        and np.array_equal(np.sort(np.concatenate([a, b])), np.sort(members))
 
 
 def acc_bruteforce(true_labels, pred_labels) -> float:

@@ -25,12 +25,12 @@ from gbmdl.generation import (
 )
 from gbmdl.metrics import acc, ari, nmi
 from gbmdl.models import (
+    evaluate_ball,
     first_principal_direction,
     l1_length,
     l2_best_split,
     l3_best_peel,
     partition_cost,
-    select_model,
 )
 from gbmdl.preprocess import minmax_normalize
 
@@ -38,6 +38,7 @@ from oracles import (
     acc_bruteforce,
     best_peel_bruteforce,
     best_split_bruteforce,
+    is_ascending_partition,
     l1_numeric,
 )
 
@@ -88,17 +89,19 @@ def test_criterion_2_split_and_peel_bruteforce_oracles():
                 assert l2_star == math.inf and split is None
             else:
                 direction = first_principal_direction(pts)
-                ref_len, ref_m1 = best_split_bruteforce(pts, ball.members, direction, n_min)
+                ref_len, ref = best_split_bruteforce(pts, ball.members, direction, n_min)
                 assert l2_star == pytest.approx(ref_len, rel=1e-9)
-                assert split.cut_position == ref_m1
+                assert is_ascending_partition(split, ball.members)
+                assert all(np.array_equal(a, b) for a, b in zip(split, ref))
 
             l3_star, peel = l3_best_peel(ball, pts, n_min)
-            ref_len, ref_q = best_peel_bruteforce(pts, ball.members, n_min)
+            ref_len, ref = best_peel_bruteforce(pts, ball.members, n_min)
             if n <= n_min:
                 assert l3_star == math.inf and peel is None
             else:
                 assert l3_star == pytest.approx(ref_len, rel=1e-9)
-                assert peel.q == ref_q
+                assert is_ascending_partition(peel, ball.members)
+                assert all(np.array_equal(a, b) for a, b in zip(peel, ref))
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
@@ -144,7 +147,7 @@ def test_criterion_4_termination_and_stability():
             n_min = adaptive_n_min(n, d)
             for ball in stable:
                 if ball.size > n_min:
-                    verdict = select_model(ball, ds.values, n_min)
+                    verdict, _ = evaluate_ball(ball, ds.values, n_min)
                     assert verdict.choice is ModelChoice.SINGLE_BALL
 
 
@@ -227,7 +230,7 @@ def test_criterion_9_background_cost_identity():
         raw = np.vstack([rng.normal(0.3, 0.04, size=(60, 3)),
                          rng.normal(0.7, 0.04, size=(60, 3)),
                          rng.uniform(0, 1, size=(15, 3))])
-        ds, _ = minmax_normalize(Dataset(values=raw))
+        ds = minmax_normalize(Dataset(values=raw))
         stable, pool, _ = generate_stable_balls(ds)
         background_cost = 0.0   # unit hypercube after normalization
 

@@ -199,6 +199,13 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_invalid_utf8_reports_parse_error(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe1.0,0\n2.0,1\n")
+        proc = self.cli("--input", str(path))
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_single_labelled_row_reports_data_error(self, tmp_path):
         proc = self.cli("--input", write(tmp_path / "one.csv", "0.5,0.25,a\n"))
         assert proc.returncode == 2

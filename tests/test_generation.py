@@ -17,7 +17,7 @@ from gbmdl.generation import (
     initialize_balls,
     reassign_residuals,
 )
-from gbmdl.models import l1_length, select_model
+from gbmdl.models import evaluate_ball, l1_length
 from gbmdl.core import stats_add_point
 
 
@@ -133,7 +133,7 @@ class TestGenerate:
         n_min = adaptive_n_min(ds.n, ds.d)
         for ball in stable:
             if ball.size > n_min:
-                verdict = select_model(ball, ds.values, n_min)
+                verdict, _ = evaluate_ball(ball, ds.values, n_min)
                 assert verdict.choice is ModelChoice.SINGLE_BALL
 
     def test_partition_before_reassignment(self):
@@ -277,8 +277,20 @@ class TestAssignSamples:
         expected = np.argmin(dist2, axis=1)
         assert not np.isin(expected, [3, 4]).any()
         assert np.isin(expected, [0, 1]).sum() > 6
-        for cells in (1, 13, 20, 41, 1 << 16):          # blocks of 1, 2, 3, 6 and all rows
+        for cells in (1, 13, 20, 41, 1 << 16):          # blocks of 1, 3, 5, 10 and all rows
             monkeypatch.setattr(generation, "OWNERSHIP_BLOCK_CELLS", cells)
             owner = assign_samples(ds, balls)
             assert owner.dtype == np.int64
             assert np.array_equal(owner, expected)
+
+    def test_duplicate_centers_never_own_rows(self):
+        # BLAS may round identical center columns differently; the copy must never win
+        rng = np.random.default_rng(27)
+        values = rng.random((20_000, 8))
+        firsts = rng.choice(values.shape[0], size=690, replace=False)
+        balls = [GranularBall.from_members(values, np.array([i])) for i in firsts]
+        copies = [GranularBall.from_members(values, np.array([firsts[j]])) for j in (3, 300, 600)]
+        ds = Dataset(values=values)
+        owner = assign_samples(ds, balls + copies)
+        assert not np.isin(owner, [690, 691, 692]).any()
+        assert np.array_equal(owner, assign_samples(ds, balls))

@@ -7,18 +7,22 @@ from gbmdl.core import GranularBall, ModelChoice, stats_from_points
 from gbmdl.models import (
     VARIANCE_FLOOR,
     DegenerateDirectionError,
+    evaluate_ball,
     first_principal_direction,
     l1_length,
     l2_best_split,
     l3_best_peel,
     log_ball_volume,
     log_shell_volume,
-    mle_mean_var,
     partition_cost,
-    select_model,
 )
 
-from oracles import best_peel_bruteforce, best_split_bruteforce, l1_numeric
+from oracles import (
+    best_peel_bruteforce,
+    best_split_bruteforce,
+    is_ascending_partition,
+    l1_numeric,
+)
 from oracles import log_ball_volume as oracle_log_ball_volume
 from oracles import log_shell_volume as oracle_log_shell_volume
 
@@ -28,22 +32,6 @@ FLOOR = VARIANCE_FLOOR
 def ball_of(points) -> GranularBall:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     return GranularBall.from_members(pts, np.arange(len(pts)))
-
-
-class TestMleMeanVar:
-    def test_two_points_1d(self):
-        mean, var = mle_mean_var(stats_from_points(np.array([[0.0], [1.0]])), d=1)
-        assert mean[0] == pytest.approx(0.5)
-        assert var == pytest.approx(0.25)
-
-    def test_identical_points_hit_floor(self):
-        _, var = mle_mean_var(stats_from_points(np.full((4, 2), 0.3)), d=2)
-        assert var == FLOOR
-
-    def test_two_points_2d(self):
-        mean, var = mle_mean_var(stats_from_points(np.array([[0.0, 0.0], [2.0, 0.0]])), d=2)
-        assert np.allclose(mean, [1.0, 0.0])
-        assert var == pytest.approx(0.5)
 
 
 class TestL1Length:
@@ -202,16 +190,13 @@ class TestL2BestSplit:
     def test_two_clumps_1d(self):
         pts = np.array([[0.0], [0.1], [0.2], [0.9], [1.0], [1.1]])
         ball = ball_of(pts)
-        l2_star, cand = l2_best_split(ball, pts, n_min=2)
-        assert cand is not None
-        assert cand.cut_position == 3
-        assert set(map(tuple, pts[cand.left_indices])) == {(0.0,), (0.1,), (0.2,)} or \
-            set(map(tuple, pts[cand.left_indices])) == {(0.9,), (1.0,), (1.1,)}
+        l2_star, (left, right) = l2_best_split(ball, pts, n_min=2)
+        assert left.tolist() == [0, 1, 2] and right.tolist() == [3, 4, 5]
         assert l2_star < l1_length(ball.stats, 1)
         direction = first_principal_direction(pts)
-        oracle_len, oracle_m1 = best_split_bruteforce(pts, ball.members, direction, 2)
+        oracle_len, (oracle_left, _) = best_split_bruteforce(pts, ball.members, direction, 2)
         assert l2_star == pytest.approx(oracle_len, rel=1e-9)
-        assert cand.cut_position == oracle_m1
+        assert np.array_equal(left, oracle_left)
 
     def test_infeasible_when_too_small(self):
         pts = np.array([[0.0], [0.5], [1.0]])
@@ -241,14 +226,15 @@ class TestL2BestSplit:
             pts = rng.normal(size=(n, d))
             ball = ball_of(pts)
             n_min = int(rng.integers(2, max(3, n // 3)))
-            l2_star, cand = l2_best_split(ball, pts, n_min)
+            l2_star, split = l2_best_split(ball, pts, n_min)
             if n < 2 * n_min:
-                assert l2_star == math.inf
+                assert l2_star == math.inf and split is None
                 continue
             direction = first_principal_direction(pts)
-            oracle_len, oracle_m1 = best_split_bruteforce(pts, ball.members, direction, n_min)
+            oracle_len, oracle = best_split_bruteforce(pts, ball.members, direction, n_min)
             assert l2_star == pytest.approx(oracle_len, rel=1e-9)
-            assert cand.cut_position == oracle_m1
+            assert is_ascending_partition(split, ball.members)
+            assert all(np.array_equal(a, b) for a, b in zip(split, oracle))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(13)
@@ -263,14 +249,12 @@ class TestL3BestPeel:
     def test_far_outlier_peeled(self):
         pts = np.array([[0.0], [0.05], [0.1], [0.15], [0.2], [1.0]])
         ball = ball_of(pts)
-        l3_star, cand = l3_best_peel(ball, pts, n_min=3)
-        assert cand is not None
-        assert cand.q == 1
-        assert pts[cand.residual_indices].ravel().tolist() == [1.0]
+        l3_star, (core, residual) = l3_best_peel(ball, pts, n_min=3)
+        assert core.tolist() == [0, 1, 2, 3, 4] and residual.tolist() == [5]
         assert l3_star < l1_length(ball.stats, 1)
-        oracle_len, oracle_q = best_peel_bruteforce(pts, ball.members, 3)
+        oracle_len, (_, oracle_residual) = best_peel_bruteforce(pts, ball.members, 3)
         assert l3_star == pytest.approx(oracle_len, rel=1e-9)
-        assert cand.q == oracle_q
+        assert np.array_equal(residual, oracle_residual)
 
     def test_infeasible_at_n_min(self):
         pts = np.random.default_rng(2).random((4, 2))
@@ -281,9 +265,8 @@ class TestL3BestPeel:
         rng = np.random.default_rng(6)
         pts = rng.random((12, 2))
         n_min = 5
-        _, cand = l3_best_peel(ball_of(pts), pts, n_min)
-        assert cand is not None
-        assert 1 <= cand.q <= 12 - n_min
+        _, (_, residual) = l3_best_peel(ball_of(pts), pts, n_min)
+        assert 1 <= residual.size <= 12 - n_min
 
     def test_zero_radius_ball_has_no_shell(self):
         pts = np.full((8, 2), 0.25)
@@ -298,13 +281,14 @@ class TestL3BestPeel:
             pts = rng.normal(size=(n, d))
             ball = ball_of(pts)
             n_min = int(rng.integers(2, max(3, n // 2)))
-            l3_star, cand = l3_best_peel(ball, pts, n_min)
-            oracle_len, oracle_q = best_peel_bruteforce(pts, ball.members, n_min)
+            l3_star, peel = l3_best_peel(ball, pts, n_min)
+            oracle_len, oracle = best_peel_bruteforce(pts, ball.members, n_min)
             if n <= n_min:
-                assert l3_star == math.inf
+                assert l3_star == math.inf and peel is None
                 continue
             assert l3_star == pytest.approx(oracle_len, rel=1e-9)
-            assert cand.q == oracle_q
+            assert is_ascending_partition(peel, ball.members)
+            assert all(np.array_equal(a, b) for a, b in zip(peel, oracle))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(14)
@@ -315,25 +299,27 @@ class TestL3BestPeel:
         assert b == pytest.approx(a, rel=1e-9)
 
 
-class TestSelectModel:
+class TestEvaluateBall:
     def test_two_clumps_choose_split(self):
         pts = np.array([[0.0], [0.1], [0.2], [0.9], [1.0], [1.1]])
-        verdict = select_model(ball_of(pts), pts, n_min=2)
+        verdict, parts = evaluate_ball(ball_of(pts), pts, n_min=2)
         assert verdict.choice is ModelChoice.TWO_BALL
-        assert verdict.split is not None and verdict.peel_q is None
+        assert parts is verdict.split and verdict.peel_q is None
+        assert parts[0].tolist() == [0, 1, 2] and parts[1].tolist() == [3, 4, 5]
         assert verdict.abnormal
 
     def test_outlier_chooses_peel(self):
         pts = np.array([[0.0], [0.05], [0.1], [0.15], [0.2], [1.0]])
-        verdict = select_model(ball_of(pts), pts, n_min=3)
+        verdict, parts = evaluate_ball(ball_of(pts), pts, n_min=3)
         assert verdict.choice is ModelChoice.CORE_RESIDUAL
         assert verdict.peel_q == 1 and verdict.split is None
+        assert parts[1].size == verdict.peel_q and parts[1].tolist() == [5]
         assert verdict.abnormal
 
     def test_small_ball_forced_single(self):
         pts = np.array([[0.0], [1.0]])
-        verdict = select_model(ball_of(pts), pts, n_min=2)
-        assert verdict.choice is ModelChoice.SINGLE_BALL
+        verdict, parts = evaluate_ball(ball_of(pts), pts, n_min=2)
+        assert verdict.choice is ModelChoice.SINGLE_BALL and parts is None
         assert verdict.l2_star == math.inf and verdict.l3_star == math.inf
         assert not verdict.abnormal
 
@@ -341,9 +327,17 @@ class TestSelectModel:
         rng = np.random.default_rng(99)
         for _ in range(20):
             pts = rng.normal(size=(int(rng.integers(5, 60)), int(rng.integers(1, 5))))
-            verdict = select_model(ball_of(pts), pts, n_min=2)
+            ball = ball_of(pts)
+            verdict, parts = evaluate_ball(ball, pts, n_min=2)
             best = min(verdict.l1, verdict.l2_star, verdict.l3_star)
             chosen = {ModelChoice.SINGLE_BALL: verdict.l1,
                       ModelChoice.TWO_BALL: verdict.l2_star,
                       ModelChoice.CORE_RESIDUAL: verdict.l3_star}[verdict.choice]
             assert chosen == best
+            assert (parts is None) == (verdict.choice is ModelChoice.SINGLE_BALL)
+            if verdict.choice is ModelChoice.TWO_BALL:
+                assert parts is verdict.split
+            elif verdict.choice is ModelChoice.CORE_RESIDUAL:
+                assert parts[1].size == verdict.peel_q
+            if parts is not None:
+                assert is_ascending_partition(parts, ball.members)

@@ -63,7 +63,7 @@ def test_pipeline_total_and_deterministic(case):
             assert first[0] in (0, 2)
             assert run_cli(argv) == first
 
-    dataset, _ = minmax_normalize(Dataset(values=values))
+    dataset = minmax_normalize(Dataset(values=values))
     results = [generate(dataset) for _ in range(2)]
     for result in results:
         assert result.ownership.shape == (dataset.n,)
