@@ -10,6 +10,8 @@ from .core import GranularBall
 from .errors import ConfigurationError
 
 BACKENDS = ("ac", "kmeanspp", "none")
+KMEANS_RESTARTS = 10     # seeded k-means++ attempts per call; the lowest SSE wins
+KMEANS_MAX_ITER = 300    # Lloyd iterations per attempt
 
 
 @dataclass(frozen=True)
@@ -17,7 +19,6 @@ class BallClustering:
     """Cluster ids for the stable balls, one label per ball, all in [0, K)."""
 
     ball_labels: np.ndarray
-    K: int
 
 
 def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
@@ -40,14 +41,14 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     if K < 1 or k < K:
         raise ConfigurationError(f"cannot form {K} clusters from {k} centers")
 
+    # A merge keeps the lower row, so a live cluster's row is its lowest member
+    # and the row-major first minimum of the upper triangle is the tie rule.
     means = centers.copy()
     counts = np.ones(k)
-    reps = np.arange(k)                      # lowest original index per cluster
-    members: list[list[int]] = [[i] for i in range(k)]
+    owner = np.arange(k)                     # row of the cluster holding each center
     alive = np.ones(k, dtype=bool)
-    n_clusters = k
 
-    while n_clusters > K:
+    for _ in range(k - K):
         idx = np.flatnonzero(alive)
         sub = means[idx]
         d2 = _pairwise_sq_dists(sub)
@@ -55,34 +56,20 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
             / (counts[idx][:, None] + counts[idx][None, :])
         delta = factor * d2
         iu = np.triu_indices(idx.size, k=1)
-        flat = delta[iu]
-        best = flat.min()
-        ties = np.flatnonzero(flat == best)
-        pairs = sorted(
-            (min(reps[idx[iu[0][t]]], reps[idx[iu[1][t]]]),
-             max(reps[idx[iu[0][t]]], reps[idx[iu[1][t]]]), t)
-            for t in ties
-        )
-        t = pairs[0][2]
+        t = np.argmin(delta[iu])
         a, b = idx[iu[0][t]], idx[iu[1][t]]
 
         total = counts[a] + counts[b]
         means[a] = (counts[a] * means[a] + counts[b] * means[b]) / total
         counts[a] = total
-        reps[a] = min(reps[a], reps[b])
-        members[a].extend(members[b])
+        owner[owner == b] = a
         alive[b] = False
-        n_clusters -= 1
 
-    labels = np.empty(k, dtype=np.int64)
-    final = sorted(np.flatnonzero(alive), key=lambda c: reps[c])
-    for label, c in enumerate(final):
-        labels[members[c]] = label
-    return labels
+    return np.unique(owner, return_inverse=True)[1]
 
 
-def _lloyd_once(points: np.ndarray, K: int, rng: np.random.Generator,
-                max_iter: int) -> tuple[np.ndarray, float]:
+def _lloyd_once(points: np.ndarray, K: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, float]:
     n = points.shape[0]
 
     # D^2 seeding
@@ -99,18 +86,19 @@ def _lloyd_once(points: np.ndarray, K: int, rng: np.random.Generator,
     centroids = points[chosen].copy()
 
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(dist2, axis=1)
 
         counts = np.bincount(new_labels, minlength=K)
         if (counts == 0).any():
-            own = dist2[np.arange(n), new_labels].copy()
+            own = dist2[np.arange(n), new_labels]
             for c in np.flatnonzero(counts == 0):
-                p = int(np.argmax(own))
+                # steal only from a cluster that keeps a member
+                p = int(np.argmax(np.where(counts[new_labels] > 1, own, -1.0)))
+                counts[new_labels[p]] -= 1
+                counts[c] = 1
                 new_labels[p] = c
-                own[p] = -1.0
-            counts = np.bincount(new_labels, minlength=K)
 
         if labels is not None and np.array_equal(labels, new_labels):
             break
@@ -122,14 +110,13 @@ def _lloyd_once(points: np.ndarray, K: int, rng: np.random.Generator,
     return labels, sse
 
 
-def kmeanspp(centers: np.ndarray, K: int, seed: int, restarts: int = 10,
-             max_iter: int = 300) -> np.ndarray:
+def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     """K-means with D^2 seeding and Lloyd iterations on the center vectors.
 
-    Runs ``restarts`` independent seeded attempts and keeps the lowest
+    Runs ``KMEANS_RESTARTS`` independent seeded attempts and keeps the lowest
     within-cluster SSE (ties: lowest restart index). Empty clusters are
-    repaired by stealing the point farthest from its assigned centroid.
-    Same seed, same labels.
+    repaired by stealing the point farthest from its assigned centroid among
+    clusters that keep a member. Same seed, same labels.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if K < 1 or centers.shape[0] < K:
@@ -137,9 +124,9 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int, restarts: int = 10,
 
     best_labels = None
     best_sse = np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r]))
-        labels, sse = _lloyd_once(centers, K, rng, max_iter)
+        labels, sse = _lloyd_once(centers, K, rng)
         if sse < best_sse:
             best_sse = sse
             best_labels = labels
@@ -164,7 +151,7 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
         raise ConfigurationError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
     if count <= K:
-        return BallClustering(ball_labels=np.arange(count, dtype=np.int64), K=K)
+        return BallClustering(ball_labels=np.arange(count, dtype=np.int64))
 
     if backend == "none":
         raise ConfigurationError(
@@ -174,7 +161,7 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
         labels = agglomerative_ward(centers, K)
     else:
         labels = kmeanspp(centers, K, seed)
-    return BallClustering(ball_labels=labels, K=K)
+    return BallClustering(ball_labels=labels)
 
 
 def labels_to_samples(ownership: np.ndarray, ball_labels: np.ndarray) -> np.ndarray:

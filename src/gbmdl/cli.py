@@ -18,7 +18,7 @@ import json
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,10 +32,13 @@ from .preprocess import background_log_volume, minmax_normalize
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one benchmark invocation needs, resolved from CLI flags."""
+    """Everything one benchmark invocation needs; each field is a CLI flag's dest.
 
-    input_path: str
-    label_column: str = "last"
+    The report's ``config`` section is every field but ``output``, in this order.
+    """
+
+    input: str
+    label_col: str = "last"
     backend: str = "ac"
     k: str = "auto"                 # "auto" resolves to the distinct label count
     runs: int = 1
@@ -43,9 +46,9 @@ class RunConfig:
     normalize: bool = True
     n_min: int | None = None
     k0: int | None = None
-    output_path: str | None = None
     format: str = "json"
     omit_timings: bool = False
+    output: str | None = None
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -63,48 +66,6 @@ class RunConfig:
                 raise ConfigurationError("--k must be an integer or 'auto'") from None
             if k < 1:
                 raise ConfigurationError("K must be at least 1")
-
-
-@dataclass
-class EvaluationReport:
-    """Per-run metrics plus the summary statistics and decision-trace counts."""
-
-    config: dict
-    dataset_info: dict
-    generation_info: dict
-    run_rows: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "dataset": self.dataset_info,
-            "generation": self.generation_info,
-            "runs": self.run_rows,
-            "summary": self.summary,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        row = {
-            "input": self.config["input"],
-            "n": self.dataset_info["n"],
-            "d": self.dataset_info["d"],
-            "classes": self.dataset_info["classes"],
-            "backend": self.config["backend"],
-            "k": self.config["k"],
-            "runs": self.config["runs"],
-            "balls": self.generation_info["balls"],
-            "residual_background": self.generation_info["residual_background"],
-            **self.summary,
-        }
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
-        return buf.getvalue()
 
 
 def _is_number(cell: str) -> bool:
@@ -198,18 +159,15 @@ def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Data
                    labels=None if label_idx is None else np.frombuffer(labels, dtype=np.int64))
 
 
-def _mean_std(xs: list[float]) -> tuple[float, float]:
-    arr = np.asarray(xs, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def run_pipeline(config: RunConfig) -> dict:
+    """Execute the full benchmark for one dataset and return the report.
 
-
-def run_pipeline(config: RunConfig) -> EvaluationReport:
-    """Execute the full benchmark for one dataset and assemble the report.
-
-    Generation is deterministic, so it runs once and is shared by all seeded
-    backend runs (run i uses seed + i).
+    The report is the dict the CLI prints, with the keys config, dataset,
+    generation, runs and summary in that order. Generation is deterministic,
+    so it runs once and is shared by all seeded backend runs (run i uses
+    seed + i).
     """
-    dataset = load_csv(config.input_path, config.label_column)
+    dataset = load_csv(config.input, config.label_col)
     if dataset.labels is not None and dataset.n < 2:
         raise DataQualityError(
             "scoring against labels needs at least two samples; pass --label-col none")
@@ -255,71 +213,74 @@ def run_pipeline(config: RunConfig) -> EvaluationReport:
 
     summary = {}
     for name in ("ari", "acc", "nmi"):
-        vals = [row[name] for row in run_rows]
-        if any(v is None for v in vals):
-            summary[f"{name}_mean"] = None
-            summary[f"{name}_std"] = None
-        else:
-            mean, std = _mean_std(vals)
-            summary[f"{name}_mean"] = mean
-            summary[f"{name}_std"] = std
+        scores = None if dataset.labels is None else np.array([row[name] for row in run_rows])
+        summary[f"{name}_mean"] = None if scores is None else float(scores.mean())
+        summary[f"{name}_std"] = None if scores is None else float(scores.std())
 
-    return EvaluationReport(
-        config={
-            "input": config.input_path,
-            "label_col": config.label_column,
-            "backend": config.backend,
-            "k": config.k,
-            "runs": config.runs,
-            "seed": config.seed,
-            "normalize": config.normalize,
-            "n_min": config.n_min,
-            "k0": config.k0,
-            "format": config.format,
-            "omit_timings": config.omit_timings,
-        },
-        dataset_info={
+    settings = asdict(config)
+    del settings["output"]
+    return {
+        "config": settings,
+        "dataset": {
             "n": dataset.n,
             "d": dataset.d,
-            "classes": int(np.unique(dataset.labels).size)
-            if dataset.labels is not None else None,
+            "classes": None if dataset.labels is None else int(np.unique(dataset.labels).size),
         },
-        generation_info={
+        "generation": {
             "balls": len(result.stable_balls),
             "residual_background": int(result.residual_background.size),
             "verdict_counts": verdicts,
             "seconds": None if config.omit_timings else gen_seconds,
         },
-        run_rows=run_rows,
-        summary=summary,
-    )
+        "runs": run_rows,
+        "summary": summary,
+    }
+
+
+def render(report: dict) -> str:
+    """The report as indented JSON, or as a one-row summary CSV for format csv."""
+    if report["config"]["format"] == "json":
+        return json.dumps(report, indent=2) + "\n"
+    config, dataset, generation = report["config"], report["dataset"], report["generation"]
+    row = {
+        "input": config["input"],
+        "n": dataset["n"],
+        "d": dataset["d"],
+        "classes": dataset["classes"],
+        "backend": config["backend"],
+        "k": config["k"],
+        "runs": config["runs"],
+        "balls": generation["balls"],
+        "residual_background": generation["residual_background"],
+        **report["summary"],
+    }
+    buf = io.StringIO()
+    csv.writer(buf).writerows([row.keys(), row.values()])
+    return buf.getvalue()
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # an absent flag stays out of the namespace, so RunConfig's default applies
     parser = argparse.ArgumentParser(
-        prog="gbmdl",
+        prog="gbmdl", argument_default=argparse.SUPPRESS,
         description="Granular-ball clustering benchmark: generate balls by local "
                     "description-length competition, cluster their centers, and "
                     "score against ground truth.")
     parser.add_argument("--input", required=True, help="CSV dataset path")
-    parser.add_argument("--label-col", default="last",
+    parser.add_argument("--label-col",
                         help="label column: name, 0-based index, 'last', or 'none'")
-    parser.add_argument("--backend", default="ac", choices=list(BACKENDS),
+    parser.add_argument("--backend", choices=list(BACKENDS),
                         help="clustering backend for the ball centers")
-    parser.add_argument("--k", default="auto",
-                        help="target cluster count, or 'auto' for the label count")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="number of seeded backend repetitions")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--no-normalize", action="store_true",
+    parser.add_argument("--k", help="target cluster count, or 'auto' for the label count")
+    parser.add_argument("--runs", type=int, help="number of seeded backend repetitions")
+    parser.add_argument("--seed", type=int, help="base random seed")
+    parser.add_argument("--no-normalize", dest="normalize", action="store_false",
                         help="skip min-max normalization (background volume then "
                              "uses the raw bounding box)")
-    parser.add_argument("--n-min", type=int, default=None,
-                        help="override the adaptive minimum ball size")
-    parser.add_argument("--k0", type=int, default=None,
-                        help="override the initial ball count")
-    parser.add_argument("--output", default=None, help="write the report here")
-    parser.add_argument("--format", default="json", choices=["json", "csv"])
+    parser.add_argument("--n-min", type=int, help="override the adaptive minimum ball size")
+    parser.add_argument("--k0", type=int, help="override the initial ball count")
+    parser.add_argument("--output", help="write the report here")
+    parser.add_argument("--format", choices=["json", "csv"])
     parser.add_argument("--omit-timings", action="store_true",
                         help="write null timings for byte-reproducible reports")
     return parser
@@ -328,39 +289,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            input_path=args.input,
-            label_column=args.label_col,
-            backend=args.backend,
-            k=args.k,
-            runs=args.runs,
-            seed=args.seed,
-            normalize=not args.no_normalize,
-            n_min=args.n_min,
-            k0=args.k0,
-            output_path=args.output,
-            format=args.format,
-            omit_timings=args.omit_timings,
-        )
+        config = RunConfig(**vars(args))
         report = run_pipeline(config)
     except GbmdlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = report.to_json() if config.format == "json" else report.to_csv()
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        s = report.summary
-        if s.get("ari_mean") is not None:
-            print(f"{config.input_path}: balls={report.generation_info['balls']} "
-                  f"ari={s['ari_mean']:.4f} acc={s['acc_mean']:.4f} "
-                  f"nmi={s['nmi_mean']:.4f} -> {config.output_path}")
-        else:
-            print(f"{config.input_path}: balls={report.generation_info['balls']} "
-                  f"(no labels) -> {config.output_path}")
-    else:
+    text = render(report)
+    if not config.output:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(config.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    s = report["summary"]
+    scores = ("(no labels)" if s["ari_mean"] is None else
+              f"ari={s['ari_mean']:.4f} acc={s['acc_mean']:.4f} nmi={s['nmi_mean']:.4f}")
+    print(f"{config.input}: balls={report['generation']['balls']} {scores} "
+          f"-> {config.output}")
     return 0
 
 

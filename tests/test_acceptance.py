@@ -166,8 +166,8 @@ def test_criterion_5_metric_oracles():
 
 def _benchmark(path: str) -> tuple[float, float]:
     start = time.perf_counter()
-    report = run_pipeline(RunConfig(input_path=path, backend="ac", runs=1))
-    return report.summary["ari_mean"], time.perf_counter() - start
+    report = run_pipeline(RunConfig(input=path, backend="ac", runs=1))
+    return report["summary"]["ari_mean"], time.perf_counter() - start
 
 
 def test_criterion_6_iris_reproduction(iris_path):

@@ -80,38 +80,46 @@ class TestWard:
         assert labels[0] == labels[2] != labels[1]
 
     def test_each_merge_is_minimum_increase(self):
-        rng = np.random.default_rng(14)
-        centers = rng.random((18, 3))
-        # replay: independent all-pairs oracle tracking cluster sets
-        clusters = [{i} for i in range(18)]
-        means = [centers[i].copy() for i in range(18)]
-        sizes = [1.0] * 18
-        merges = []
-        while len(clusters) > 1:
-            best = None
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    inc = sizes[i] * sizes[j] / (sizes[i] + sizes[j]) \
-                        * float(((means[i] - means[j]) ** 2).sum())
-                    key = (inc, min(min(clusters[i]), min(clusters[j])),
-                           max(min(clusters[i]), min(clusters[j])))
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-            _, i, j = best
-            merges.append(frozenset(clusters[i] | clusters[j]))
-            means[i] = (sizes[i] * means[i] + sizes[j] * means[j]) / (sizes[i] + sizes[j])
-            sizes[i] += sizes[j]
-            clusters[i] = clusters[i] | clusters[j]
-            del clusters[j], means[j], sizes[j]
-        for K in (12, 6, 3, 1):
-            labels = agglomerative_ward(centers, K)
-            groups = {frozenset(np.flatnonzero(labels == c).tolist())
-                      for c in np.unique(labels)}
-            oracle_clusters = [{i} for i in range(18)]
-            for merged in merges[: 18 - K]:
-                oracle_clusters = [c for c in oracle_clusters if not c <= merged]
-                oracle_clusters.append(set(merged))
-            assert groups == {frozenset(c) for c in oracle_clusters}
+        line = np.arange(12.0)[:, None]
+        grid = np.array([(i, j) for i in range(4) for j in range(4)]) / 4.0
+        inputs = [
+            np.random.default_rng(14).random((18, 3)),
+            line,                                              # tie-heavy inputs
+            np.vstack([line, line[[3, 8]]]),
+            grid[np.random.default_rng(16).permutation(16)],
+        ]
+        for centers in inputs:
+            k = len(centers)
+            # replay: independent all-pairs oracle tracking cluster sets
+            clusters = [{i} for i in range(k)]
+            means = [centers[i].copy() for i in range(k)]
+            sizes = [1.0] * k
+            merges = []
+            while len(clusters) > 1:
+                best = None
+                for i in range(len(clusters)):
+                    for j in range(i + 1, len(clusters)):
+                        inc = sizes[i] * sizes[j] / (sizes[i] + sizes[j]) \
+                            * float(((means[i] - means[j]) ** 2).sum())
+                        key = (inc, min(min(clusters[i]), min(clusters[j])),
+                               max(min(clusters[i]), min(clusters[j])))
+                        if best is None or key < best[0]:
+                            best = (key, i, j)
+                _, i, j = best
+                merges.append(frozenset(clusters[i] | clusters[j]))
+                means[i] = (sizes[i] * means[i] + sizes[j] * means[j]) / (sizes[i] + sizes[j])
+                sizes[i] += sizes[j]
+                clusters[i] = clusters[i] | clusters[j]
+                del clusters[j], means[j], sizes[j]
+            for K in range(1, k + 1):
+                labels = agglomerative_ward(centers, K)
+                groups = {frozenset(np.flatnonzero(labels == c).tolist())
+                          for c in np.unique(labels)}
+                oracle_clusters = [{i} for i in range(k)]
+                for merged in merges[: k - K]:
+                    oracle_clusters = [c for c in oracle_clusters if not c <= merged]
+                    oracle_clusters.append(set(merged))
+                assert groups == {frozenset(c) for c in oracle_clusters}, (k, K)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(15)
@@ -132,6 +140,11 @@ class TestKMeansPP:
         a = kmeanspp(centers, 4, seed=9)
         b = kmeanspp(centers, 4, seed=9)
         assert np.array_equal(a, b)
+
+    def test_repair_never_empties_a_donor_cluster(self):
+        # stealing the farthest point for one empty cluster must not empty another
+        labels = kmeanspp(np.array([[1.0], [3.0], [3.0], [3.0]]), 3, seed=0)
+        assert set(labels.tolist()) == {0, 1, 2}
 
     def test_tight_pairs_co_labeled_for_many_seeds(self):
         centers = np.array([[0.0, 0.0], [0.02, 0.0], [1.0, 1.0], [1.0, 0.98]])

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbmdl.cli import RunConfig, load_csv, run_pipeline
+from gbmdl.cli import RunConfig, load_csv, render, run_pipeline
 from gbmdl.errors import ConfigurationError, CsvParseError
 
 
@@ -85,58 +85,61 @@ class TestLoadCsv:
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RunConfig(input_path="x", runs=0)
+            RunConfig(input="x", runs=0)
         with pytest.raises(ConfigurationError):
-            RunConfig(input_path="x", backend="spectral")
+            RunConfig(input="x", backend="spectral")
         with pytest.raises(ConfigurationError):
-            RunConfig(input_path="x", k="three")
+            RunConfig(input="x", k="three")
         with pytest.raises(ConfigurationError):
-            RunConfig(input_path="x", k="0")
+            RunConfig(input="x", k="0")
         with pytest.raises(ConfigurationError, match="n_min"):
-            RunConfig(input_path="x", n_min=0)
+            RunConfig(input="x", n_min=0)
         with pytest.raises(ConfigurationError, match="k0"):
-            RunConfig(input_path="x", k0=0)
+            RunConfig(input="x", k0=0)
 
 
 class TestRunPipeline:
     def test_blobs_end_to_end(self, blob_csv):
-        report = run_pipeline(RunConfig(input_path=blob_csv, backend="ac"))
-        assert report.dataset_info == {"n": 80, "d": 2, "classes": 2}
-        assert report.summary["ari_mean"] == 1.0
-        assert report.generation_info["balls"] >= 2
-        counts = report.generation_info["verdict_counts"]
+        report = run_pipeline(RunConfig(input=blob_csv, backend="ac"))
+        assert report["dataset"] == {"n": 80, "d": 2, "classes": 2}
+        assert report["summary"]["ari_mean"] == 1.0
+        assert report["generation"]["balls"] >= 2
+        counts = report["generation"]["verdict_counts"]
         assert set(counts) == {"M1", "M2", "M3"}
-        assert counts["M1"] == report.generation_info["balls"]
+        assert counts["M1"] == report["generation"]["balls"]
 
     def test_k_auto_without_labels_rejected(self, tmp_path):
         path = write(tmp_path / "u.csv", "0.1,0.2\n0.3,0.4\n0.5,0.6\n0.9,0.8\n")
         with pytest.raises(ConfigurationError):
-            run_pipeline(RunConfig(input_path=path, label_column="none"))
+            run_pipeline(RunConfig(input=path, label_col="none"))
 
     def test_unlabeled_with_explicit_k_reports_null_metrics(self, tmp_path):
         rng = np.random.default_rng(1)
         rows = [f"{rng.random():.4f},{rng.random():.4f}" for _ in range(60)]
         path = write(tmp_path / "v.csv", "\n".join(rows) + "\n")
-        report = run_pipeline(RunConfig(input_path=path, label_column="none", k="3"))
-        assert report.summary["ari_mean"] is None
-        assert report.run_rows[0]["ari"] is None
+        report = run_pipeline(RunConfig(input=path, label_col="none", k="3"))
+        assert report["summary"]["ari_mean"] is None
+        assert report["runs"][0]["ari"] is None
 
     def test_seeded_repetition_summary(self, blob_csv):
-        report = run_pipeline(RunConfig(input_path=blob_csv, backend="kmeanspp",
+        report = run_pipeline(RunConfig(input=blob_csv, backend="kmeanspp",
                                         runs=5, seed=11))
-        assert [row["seed"] for row in report.run_rows] == [11, 12, 13, 14, 15]
-        aris = [row["ari"] for row in report.run_rows]
-        assert report.summary["ari_mean"] == pytest.approx(np.mean(aris))
-        assert report.summary["ari_std"] == pytest.approx(np.std(aris))
+        assert [row["seed"] for row in report["runs"]] == [11, 12, 13, 14, 15]
+        aris = [row["ari"] for row in report["runs"]]
+        assert report["summary"]["ari_mean"] == pytest.approx(np.mean(aris))
+        assert report["summary"]["ari_std"] == pytest.approx(np.std(aris))
 
     def test_deterministic_backend_zero_std(self, blob_csv):
-        report = run_pipeline(RunConfig(input_path=blob_csv, backend="ac", runs=3))
-        assert report.summary["ari_std"] == 0.0
+        report = run_pipeline(RunConfig(input=blob_csv, backend="ac", runs=3))
+        assert report["summary"]["ari_std"] == 0.0
 
     def test_json_schema_key_order(self, blob_csv):
-        report = run_pipeline(RunConfig(input_path=blob_csv))
-        data = json.loads(report.to_json())
+        report = run_pipeline(RunConfig(input=blob_csv))
+        data = json.loads(render(report))
         assert list(data) == ["config", "dataset", "generation", "runs", "summary"]
+        assert list(data["config"]) == ["input", "label_col", "backend", "k", "runs",
+                                        "seed", "normalize", "n_min", "k0", "format",
+                                        "omit_timings"]
         assert list(data["dataset"]) == ["n", "d", "classes"]
         assert list(data["generation"]) == ["balls", "residual_background",
                                             "verdict_counts", "seconds"]
@@ -145,31 +148,32 @@ class TestRunPipeline:
                                          "acc_std", "nmi_mean", "nmi_std"]
 
     def test_timings_measured_by_default(self, blob_csv):
-        report = run_pipeline(RunConfig(input_path=blob_csv))
-        assert report.generation_info["seconds"] >= 0.0
-        assert all(row["seconds"] >= 0.0 for row in report.run_rows)
+        report = run_pipeline(RunConfig(input=blob_csv))
+        assert report["generation"]["seconds"] >= 0.0
+        assert all(row["seconds"] >= 0.0 for row in report["runs"])
 
     def test_omit_timings_is_byte_reproducible(self, blob_csv):
-        config = RunConfig(input_path=blob_csv, runs=2, omit_timings=True)
-        a = run_pipeline(config).to_json()
-        b = run_pipeline(config).to_json()
+        config = RunConfig(input=blob_csv, runs=2, omit_timings=True)
+        a = render(run_pipeline(config))
+        b = render(run_pipeline(config))
         assert a == b
         assert json.loads(a)["generation"]["seconds"] is None
 
     def test_csv_summary_row(self, blob_csv):
-        report = run_pipeline(RunConfig(input_path=blob_csv, format="csv"))
-        lines = report.to_csv().strip().splitlines()
+        report = run_pipeline(RunConfig(input=blob_csv, format="csv"))
+        lines = render(report).strip().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("input,n,d,classes,backend")
+        assert lines[0] == ("input,n,d,classes,backend,k,runs,balls,residual_background,"
+                            "ari_mean,ari_std,acc_mean,acc_std,nmi_mean,nmi_std")
 
     def test_backend_none_passthrough_when_balls_fit(self, blob_csv):
         # enough clusters that the stable balls pass through as-is
-        report = run_pipeline(RunConfig(input_path=blob_csv, backend="none", k="60"))
-        assert report.summary["ari_mean"] is not None
+        report = run_pipeline(RunConfig(input=blob_csv, backend="none", k="60"))
+        assert report["summary"]["ari_mean"] is not None
 
     def test_backend_none_rejected_when_balls_exceed_k(self, blob_csv):
         with pytest.raises(ConfigurationError, match="backend"):
-            run_pipeline(RunConfig(input_path=blob_csv, backend="none", k="2"))
+            run_pipeline(RunConfig(input=blob_csv, backend="none", k="2"))
 
 
 class TestCommandLine:
@@ -189,6 +193,13 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert "ari=" in proc.stdout
         assert json.loads(out.read_text())["dataset"]["n"] == 80
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_reports_error(self, blob_csv, tmp_path, target):
+        proc = self.cli("--input", blob_csv, "--output", str(tmp_path / target))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_bad_backend_exits_with_error(self, blob_csv):
         proc = self.cli("--input", blob_csv, "--backend", "dbscan")
