@@ -29,8 +29,8 @@ class Dataset:
     """An n x d sample matrix plus optional integer ground-truth labels.
 
     Labels are carried along for evaluation only; no clustering stage reads
-    them. Values must be finite; after min-max normalization they lie in
-    [0, 1].
+    them. Values must be finite, and so must each feature's range; after
+    min-max normalization they lie in [0, 1].
     """
 
     values: np.ndarray
@@ -44,6 +44,11 @@ class Dataset:
         if not np.isfinite(values).all():
             row, col = np.argwhere(~np.isfinite(values))[0]
             raise DataQualityError(f"non-finite value at sample {row}, feature {col}")
+        with np.errstate(over="ignore"):
+            spread = values.max(axis=0) - values.min(axis=0)
+        if not np.isfinite(spread).all():
+            col = int(np.flatnonzero(~np.isfinite(spread))[0])
+            raise DataQualityError(f"feature {col} has a range beyond the float64 maximum")
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (values.shape[0],):

@@ -8,6 +8,7 @@ stable-ball centers.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -97,27 +98,21 @@ def initialize_balls(dataset: Dataset, k0: int) -> list[GranularBall]:
     partitions all sample indices and is ordered by first member.
     """
     values = dataset.values
-    entries: list[list] = [[np.arange(dataset.n, dtype=np.int64), True]]
-
-    while len(entries) < k0:
-        best = -1
-        best_key = None
-        for i, (members, splittable) in enumerate(entries):
-            if not splittable or members.size < 2:
-                continue
-            key = (-members.size, int(members[0]))
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        if best < 0:
-            break
-        half1, half2 = farthest_point_bisect(entries[best][0], values)
-        if half1.size == 0 or half2.size == 0:
-            entries[best][1] = False
+    # heap keys (-size, first member) never tie, because the member sets are disjoint
+    heap = [(-dataset.n, 0, np.arange(dataset.n, dtype=np.int64))]
+    done: list[np.ndarray] = []
+    while len(heap) + len(done) < k0 and heap and heap[0][0] <= -2:
+        members = heapq.heappop(heap)[2]
+        halves = farthest_point_bisect(members, values)
+        if min(half.size for half in halves) == 0:
+            done.append(members)
             continue
-        entries[best:best + 1] = [[half1, True], [half2, True]]
+        for half in halves:
+            heapq.heappush(heap, (-half.size, int(half[0]), half))
 
-    entries.sort(key=lambda e: int(e[0][0]))
-    return [GranularBall.from_members(values, members) for members, _ in entries]
+    done.extend(members for _, _, members in heap)
+    done.sort(key=lambda members: int(members[0]))
+    return [GranularBall.from_members(values, members) for members in done]
 
 
 def generate_stable_balls(dataset: Dataset, config: GenerationConfig | None = None,

@@ -50,38 +50,23 @@ def partition_cost(m1: int | np.ndarray, m2: int | np.ndarray) -> float | np.nda
 
 
 def first_principal_direction(points: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the sample covariance for its largest eigenvalue.
+    """Unit eigenvector of the sample scatter for its largest eigenvalue.
 
-    Deterministic power iteration: start from the axis of maximum per-feature
-    variance, iterate at most 100 times, stop when the direction moves by
-    less than 1e-10. The sign is fixed so the first nonzero coordinate is
-    positive. Raises DegenerateDirectionError when all points coincide.
+    Solved exactly by a symmetric eigendecomposition of the d x d scatter
+    matrix, so there is no iteration count or tolerance. The sign is fixed
+    so the first nonzero coordinate is positive. Raises
+    DegenerateDirectionError when all points coincide.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 2:
         raise ValueError("need at least two points for a principal direction")
     centered = pts - pts.mean(axis=0)
-    per_feature = (centered ** 2).sum(axis=0)
-    if per_feature.max() <= 0.0:
+    scatter = centered.T @ centered
+    if scatter.diagonal().max() <= 0.0:
         raise DegenerateDirectionError("zero covariance: all points coincide")
 
-    v = np.zeros(pts.shape[1])
-    v[int(np.argmax(per_feature))] = 1.0
-    for _ in range(100):
-        w = centered.T @ (centered @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise DegenerateDirectionError("power iteration collapsed to the null space")
-        w /= norm
-        delta = np.linalg.norm(w - v)
-        v = w
-        if delta < 1e-10:
-            break
-
-    nonzero = np.flatnonzero(v)
-    if nonzero.size and v[nonzero[0]] < 0:
-        v = -v
-    return v
+    v = np.linalg.eigh(scatter)[1][:, -1]   # eigenvalues ascend, so the last is the largest
+    return -v if v[np.flatnonzero(v)[0]] < 0 else v
 
 
 def log_ball_volume(d: int, r: float | np.ndarray) -> float | np.ndarray:

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from gbmdl.cli import RunConfig, load_csv, render, run_pipeline
+from gbmdl.cli import RunConfig, load_csv, main, render, run_pipeline
 from gbmdl.errors import ConfigurationError, CsvParseError
 
 
@@ -221,6 +222,16 @@ class TestCommandLine:
         proc = self.cli("--input", write(tmp_path / "one.csv", "0.5,0.25,a\n"))
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [[], ["--no-normalize"]])
+    def test_feature_range_overflow_reports_data_error(self, tmp_path, flags, capsys):
+        # every value is finite, but max - min of feature 0 overflows float64
+        path = write(tmp_path / "huge.csv", "1e308,0\n-1e308,1\n0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--input", path, *flags]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "feature 0" in lines[0]
 
     def test_overrides_accepted(self, blob_csv):
         proc = self.cli("--input", blob_csv, "--n-min", "4", "--k0", "6",

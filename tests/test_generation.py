@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from gbmdl import generation
+from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall, ModelChoice
 from gbmdl.errors import ConfigurationError, DataQualityError
 from gbmdl.generation import (
@@ -18,6 +20,7 @@ from gbmdl.generation import (
     reassign_residuals,
 )
 from gbmdl.models import evaluate_ball, l1_length
+from gbmdl.preprocess import minmax_normalize
 from gbmdl.core import stats_add_point
 
 
@@ -96,6 +99,39 @@ class TestInitializeBalls:
         balls = initialize_balls(Dataset(values=values), 3)
         assert len(balls) == 1
         assert balls[0].members.size == 9
+
+    @staticmethod
+    def linear_scan_replay(values, k0):
+        # bisect the largest splittable ball, ties to the lowest first member,
+        # found by scanning every ball before each split
+        entries = [[np.arange(len(values)), True]]
+        while len(entries) < k0:
+            live = [i for i, (m, ok) in enumerate(entries) if ok and m.size >= 2]
+            if not live:
+                break
+            best = min(live, key=lambda i: (-entries[i][0].size, int(entries[i][0][0])))
+            half1, half2 = farthest_point_bisect(entries[best][0], values)
+            if half1.size == 0 or half2.size == 0:
+                entries[best][1] = False
+            else:
+                entries[best:best + 1] = [[half1, True], [half2, True]]
+        return sorted((m.tolist() for m, _ in entries), key=lambda m: m[0])
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+    def test_matches_linear_scan_replay(self, kind):
+        rng = np.random.default_rng({"random": 50, "lattice": 51, "duplicates": 52}[kind])
+        for _ in range(40):
+            n, d = int(rng.integers(1, 120)), int(rng.integers(1, 4))
+            if kind == "random":
+                values = rng.random((n, d))
+            elif kind == "lattice":
+                values = rng.integers(0, 4, size=(n, d)) / 3.0
+            else:
+                distinct = rng.random((int(rng.integers(1, 6)), d))
+                values = distinct[rng.integers(0, len(distinct), n)]
+            k0 = int(rng.integers(1, n + 3))
+            got = [b.members.tolist() for b in initialize_balls(Dataset(values=values), k0)]
+            assert got == self.linear_scan_replay(values, k0)
 
 
 class TestGenerate:
@@ -294,3 +330,36 @@ class TestAssignSamples:
         owner = assign_samples(ds, balls + copies)
         assert not np.isin(owner, [690, 691, 692]).any()
         assert np.array_equal(owner, assign_samples(ds, balls))
+
+
+def trace_digest(result) -> str:
+    """SHA-256 over the decisions, stable-ball members, background and ownership.
+
+    Description lengths are left out, so a rewrite that moves only their last
+    digits keeps the digest.
+    """
+    digest = hashlib.sha256()
+
+    def put(tag: bytes, values) -> None:
+        arr = np.ascontiguousarray(values, dtype="<i8")
+        digest.update(tag + arr.size.to_bytes(8, "little") + arr.tobytes())
+
+    for size, verdict in result.trace:
+        digest.update(f"{verdict.choice.value}:{size}:{verdict.peel_q};".encode())
+        if verdict.split is not None:
+            put(b"L", verdict.split[0])
+            put(b"R", verdict.split[1])
+    for ball in result.stable_balls:
+        put(b"B", ball.members)
+    put(b"G", result.residual_background)
+    put(b"O", result.ownership)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fixture,expected", [
+    ("iris_path", "62690bc3706ab4136f0f5070d4cc4cbc6db32409bc57e2dffe0d5440cdfc3991"),
+    ("wine_path", "26e0bb8ad00bafc64ec4c86e148af6347feddd56fa4ed241eaf07e1c1b17a3c2"),
+])
+def test_golden_decision_trace(fixture, expected, request):
+    dataset = minmax_normalize(load_csv(request.getfixturevalue(fixture)))
+    assert trace_digest(generate(dataset)) == expected

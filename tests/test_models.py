@@ -142,6 +142,21 @@ class TestFirstPrincipalDirection:
             ref = v[:, -1]
             assert abs(abs(got @ ref) - 1.0) < 1e-6
 
+    def test_rayleigh_quotient_reaches_top_eigenvalue(self):
+        # nearly isotropic balls have close top eigenvalues, where an
+        # iterative solver stops short of the first principal direction
+        rng = np.random.default_rng(22)
+        short = []
+        for _ in range(200):
+            pts = rng.normal(size=(rng.integers(20, 201), rng.integers(2, 9)))
+            centered = pts - pts.mean(axis=0)
+            scatter = centered.T @ centered
+            v = first_principal_direction(pts)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            if v @ scatter @ v < np.linalg.eigvalsh(scatter)[-1] * (1 - 1e-9):
+                short.append(pts.shape)
+        assert short == []
+
 
 class TestLogVolumes:
     def test_circle(self):
