@@ -21,20 +21,18 @@ class BallClustering:
     ball_labels: np.ndarray
 
 
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", points, points)
-    d2 = sq[:, None] - 2.0 * (points @ points.T) + sq[None, :]
-    return np.maximum(d2, 0.0)
-
-
 def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     """Bottom-up Ward merging of center vectors down to K clusters.
 
     Each merge minimizes the within-cluster SSE increase
-    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2; ties go to the lexicographically
-    smallest pair of lowest member indices. Every center counts as one point,
-    whatever the size of its ball. Final labels are numbered by each
-    cluster's lowest member index.
+    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2, priced by direct differences; ties
+    go to the lexicographically smallest pair of lowest member indices. Every
+    center counts as one point, whatever the size of its ball. Final labels
+    are numbered by each cluster's lowest member index.
+
+    Each live row caches its cheapest pair with a higher live row (the generic
+    nearest-neighbour-list algorithm, Müllner 2011, arXiv:1109.2378), so a
+    merge rescans only the rows it invalidates: O(k²) work in practice.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     k = centers.shape[0]
@@ -47,23 +45,42 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     counts = np.ones(k)
     owner = np.arange(k)                     # row of the cluster holding each center
     alive = np.ones(k, dtype=bool)
+    nn_cost = np.full(k, np.inf)             # cheapest cost from each live row to a higher one
+    nn_col = np.zeros(k, dtype=np.int64)     # its first column
 
+    def cost(r: int, cols: np.ndarray) -> np.ndarray:
+        # symmetric in (r, c) bit for bit, so a pair costs the same from either side
+        factor = counts[r] * counts[cols] / (counts[r] + counts[cols])
+        return factor * ((means[cols] - means[r]) ** 2).sum(axis=1)
+
+    def rescan(r: int) -> None:
+        cols = r + 1 + np.flatnonzero(alive[r + 1:])
+        if cols.size == 0:
+            nn_cost[r] = np.inf
+            return
+        row = cost(r, cols)
+        j = int(np.argmin(row))
+        nn_cost[r], nn_col[r] = row[j], cols[j]
+
+    for r in range(k):
+        rescan(r)
     for _ in range(k - K):
-        idx = np.flatnonzero(alive)
-        sub = means[idx]
-        d2 = _pairwise_sq_dists(sub)
-        factor = counts[idx][:, None] * counts[idx][None, :] \
-            / (counts[idx][:, None] + counts[idx][None, :])
-        delta = factor * d2
-        iu = np.triu_indices(idx.size, k=1)
-        t = np.argmin(delta[iu])
-        a, b = idx[iu[0][t]], idx[iu[1][t]]
-
+        a = int(np.argmin(nn_cost))          # first row holding the global minimum
+        b = int(nn_col[a])
         total = counts[a] + counts[b]
         means[a] = (counts[a] * means[a] + counts[b] * means[b]) / total
         counts[a] = total
         owner[owner == b] = a
         alive[b] = False
+        nn_cost[b] = np.inf
+
+        for r in np.flatnonzero(alive & ((nn_col == a) | (nn_col == b))):
+            rescan(int(r))                   # includes row a, whose cache pointed at b
+        lower = np.flatnonzero(alive[:a])
+        to_a = cost(a, lower)
+        better = (to_a < nn_cost[lower]) | ((to_a == nn_cost[lower]) & (a < nn_col[lower]))
+        nn_cost[lower[better]] = to_a[better]
+        nn_col[lower[better]] = a
 
     return np.unique(owner, return_inverse=True)[1]
 

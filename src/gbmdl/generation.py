@@ -224,7 +224,9 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
     """Full generation pipeline: regenerate, reassign residuals, assign ownership.
 
     The dataset is expected to be normalized to the unit hypercube; pass an
-    explicit ``background_log_volume`` to run on raw coordinates.
+    explicit ``background_log_volume`` to run on raw coordinates. Raw values
+    must keep 4·Σ|x_i|² finite, which bounds every squared distance and every
+    sum of squares the engine forms.
     """
     if background_log_volume is None:
         lo, hi = dataset.values.min(), dataset.values.max()
@@ -232,6 +234,12 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
             raise DataQualityError(
                 "values fall outside [0, 1]; normalize first or supply background_log_volume")
         background_log_volume = 0.0
+    else:
+        with np.errstate(over="ignore"):
+            bound = 4.0 * np.einsum("ij,ij->", dataset.values, dataset.values)
+        if not np.isfinite(bound):
+            raise DataQualityError(
+                "raw values are too large: their squared norms overflow float64; normalize first")
 
     stable, pool, trace = generate_stable_balls(dataset, config)
     updated, _, background = reassign_residuals(

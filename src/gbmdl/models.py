@@ -13,13 +13,16 @@ import math
 
 import numpy as np
 
-from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, ball_radius, stats_sse
+from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, stats_sse
 from .errors import GbmdlError
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
 RADIUS_FLOOR = 1e-12
 VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
+# The peel scan prices at most this many point-to-core-mean cells at a time
+# (8 MB of float64), so its scratch memory does not grow with the ball size.
+RADIUS_BLOCK_CELLS = 1 << 20
 
 
 class DegenerateDirectionError(GbmdlError):
@@ -147,6 +150,40 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     return float(lengths[best]), (np.sort(sorted_members[:cut]), np.sort(sorted_members[cut:]))
 
 
+def core_radii(points: np.ndarray, sizes: np.ndarray, means: np.ndarray,
+               center: np.ndarray) -> np.ndarray:
+    """Radius of every prefix core about its own mean.
+
+    Entry j is the largest distance from points[:sizes[j]] to means[j], equal
+    bit for bit to ``ball_radius(points[:sizes[j]], means[j])``. Candidate
+    rows come from one GEMM per block of at most ``RADIUS_BLOCK_CELLS`` cells,
+    on coordinates shifted by ``center`` so the expansion stays
+    well-conditioned; every row within a rounding margin of its column's
+    maximum is then priced by direct differences and the largest is kept.
+    """
+    shifted = points - center
+    shifted_means = means - center
+    sq = np.einsum("ij,ij->i", shifted, shifted)
+    sq_means = np.einsum("ij,ij->i", shifted_means, shifted_means)
+    # both routes err by about d·eps·(|x|² + |mu|²); the margin covers that for any d
+    margin = max(1e-12, 1e-14 * points.shape[1]) * (sq.max() + sq_means)
+
+    radii = np.empty(len(sizes))
+    width = max(1, RADIUS_BLOCK_CELLS // int(sizes.max()))
+    for start in range(0, len(sizes), width):
+        block = slice(start, start + width)
+        rows = int(sizes[block].max())
+        score = shifted[:rows] @ shifted_means[block].T   # |x - mu|² - |mu|², up to rounding
+        score *= -2.0
+        score += sq[:rows, None]
+        score[np.arange(rows)[:, None] >= sizes[block]] = -np.inf
+        near = score >= score.max(axis=0) - margin[block]
+        col, row = np.nonzero(near.T)    # grouped by column; each column keeps its max row
+        dist = np.sqrt(((points[row] - means[start + col]) ** 2).sum(axis=1))
+        radii[block] = np.maximum.reduceat(dist, np.searchsorted(col, np.arange(near.shape[1])))
+    return radii
+
+
 def l3_best_peel(ball: GranularBall, values: np.ndarray,
                  n_min: int) -> tuple[float, Parts | None]:
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
@@ -177,8 +214,7 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     sizes = n_b - q
     core = BallStats(sizes, prefix.sum[sizes - 1], prefix.sumsq[sizes - 1])
     # each core radius is measured about that core's own mean
-    radii = np.array([ball_radius(sorted_pts[:size], core_sum / size)
-                      for size, core_sum in zip(sizes, core.sum)])
+    radii = core_radii(sorted_pts, sizes, core.sum / sizes[:, None], ball.center)
     lengths = l1_length(core, d) + q * log_shell_volume(d, 2.0 * ball.radius, radii) \
         + math.log(max(n_b, 2))
 

@@ -166,3 +166,45 @@ def min_sse_bipartition(points: np.ndarray):
         if sse < best:
             best, best_mask = sse, mask
     return best_mask
+
+
+def core_radii_loop(points: np.ndarray, sizes, means: np.ndarray) -> np.ndarray:
+    """Radius of each prefix core points[:size] about its mean, one direct-difference
+    pass per core."""
+    return np.array([np.sqrt(((points[:size] - mean) ** 2).sum(axis=1)).max()
+                     for size, mean in zip(sizes, means)])
+
+
+def ward_replay(centers: np.ndarray) -> list[frozenset]:
+    """Naive all-pairs Ward merge sequence down to one cluster.
+
+    Every merge recomputes every live pair's SSE increase
+    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2 from direct differences and takes the
+    row-major first minimum of the upper triangle, with live clusters kept in
+    order of their lowest member. Returns the merged member set of each merge.
+    """
+    means = np.array(centers, dtype=np.float64)
+    sizes = np.ones(len(means))
+    clusters = [frozenset([i]) for i in range(len(means))]
+    merges = []
+    while len(clusters) > 1:
+        diff = means[None, :, :] - means[:, None, :]
+        factor = sizes[:, None] * sizes[None, :] / (sizes[:, None] + sizes[None, :])
+        cost = factor * (diff ** 2).sum(axis=2)
+        cost[np.tril_indices(len(clusters))] = np.inf
+        i, j = np.unravel_index(np.argmin(cost), cost.shape)
+        merges.append(clusters[i] | clusters[j])
+        means[i] = (sizes[i] * means[i] + sizes[j] * means[j]) / (sizes[i] + sizes[j])
+        sizes[i] += sizes[j]
+        clusters[i] = merges[-1]
+        means, sizes = np.delete(means, j, axis=0), np.delete(sizes, j)
+        del clusters[j]
+    return merges
+
+
+def clusters_after(merges: list[frozenset], k: int, K: int) -> set[frozenset]:
+    """The partition of range(k) left after the first k - K merges."""
+    clusters = {frozenset([i]) for i in range(k)}
+    for merged in merges[: k - K]:
+        clusters = {c for c in clusters if not c <= merged} | {merged}
+    return clusters

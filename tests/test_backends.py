@@ -10,7 +10,7 @@ from gbmdl.backends import (
 from gbmdl.core import GranularBall
 from gbmdl.errors import ConfigurationError
 
-from oracles import min_sse_bipartition
+from oracles import clusters_after, min_sse_bipartition, ward_replay
 
 
 def balls_from_rows(values: np.ndarray) -> list[GranularBall]:
@@ -120,6 +120,25 @@ class TestWard:
                     oracle_clusters = [c for c in oracle_clusters if not c <= merged]
                     oracle_clusters.append(set(merged))
                 assert groups == {frozenset(c) for c in oracle_clusters}, (k, K)
+
+    def test_matches_all_pairs_replay_at_scale(self):
+        rng = np.random.default_rng(17)
+        tripled = rng.random((83, 3))
+        grid = np.array([(i, j) for i in range(16) for j in range(16)]) / 4.0
+        inputs = [
+            rng.random((250, 3)),
+            rng.random((640, 2)),
+            np.vstack([tripled, tripled, tripled, tripled[:1]])[rng.permutation(250)],
+            grid[rng.permutation(256)],                      # a shuffled quarter grid
+        ]
+        for centers in inputs:
+            k = len(centers)
+            merges = ward_replay(centers)
+            for K in (1, 2, 7, 40, k - 1):
+                labels = agglomerative_ward(centers, K)
+                groups = {frozenset(np.flatnonzero(labels == c).tolist())
+                          for c in np.unique(labels)}
+                assert groups == clusters_after(merges, k, K), (k, K)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(15)

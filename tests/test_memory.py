@@ -1,4 +1,4 @@
-"""Memory guards for the two O(n) stages: CSV ingestion and final ownership.
+"""Memory guards for CSV ingestion, final ownership and the peel scan.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -11,6 +11,7 @@ import numpy as np
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall
 from gbmdl.generation import assign_samples
+from gbmdl.models import l3_best_peel
 
 MB = 2 ** 20
 
@@ -43,3 +44,13 @@ def test_load_csv_memory_is_linear(tmp_path):
     ds, peak = traced_peak(load_csv, str(path))
     assert (ds.n, ds.d) == (20_000, 8)
     assert peak < 4 * MB
+
+
+def test_peel_scan_memory_is_bounded():
+    # a dense 8000 x 8000 point-to-core-mean matrix alone would take 512 MB
+    rng = np.random.default_rng(2)
+    values = rng.normal(size=(8_000, 4))
+    ball = GranularBall.from_members(values, np.arange(8_000))
+    (length, peel), peak = traced_peak(l3_best_peel, ball, values, 5)
+    assert np.isfinite(length) and peel[0].size + peel[1].size == 8_000
+    assert peak < 32 * MB

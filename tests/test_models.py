@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gbmdl import models
 from gbmdl.core import GranularBall, ModelChoice, stats_from_points
 from gbmdl.models import (
     VARIANCE_FLOOR,
     DegenerateDirectionError,
+    core_radii,
     evaluate_ball,
     first_principal_direction,
     l1_length,
@@ -20,6 +22,7 @@ from gbmdl.models import (
 from oracles import (
     best_peel_bruteforce,
     best_split_bruteforce,
+    core_radii_loop,
     is_ascending_partition,
     l1_numeric,
 )
@@ -312,6 +315,51 @@ class TestL3BestPeel:
         a, _ = l3_best_peel(ball_of(pts), pts, 3)
         b, _ = l3_best_peel(ball_of(shifted), shifted, 3)
         assert b == pytest.approx(a, rel=1e-9)
+
+
+def peel_cores(points, n_min):
+    """Points sorted by (distance to their mean, index), the peel scan's core
+    sizes, and each core's mean."""
+    center = points.mean(axis=0)
+    dist = np.sqrt(((points - center) ** 2).sum(axis=1))
+    sorted_pts = points[np.lexsort((np.arange(len(points)), dist))]
+    sizes = np.arange(len(points) - 1, n_min - 1, -1)
+    means = np.cumsum(sorted_pts, axis=0)[sizes - 1] / sizes[:, None]
+    return sorted_pts, sizes, means, center
+
+
+def radius_test_balls():
+    rng = np.random.default_rng(31)
+    grid = np.array([(i, j) for i in range(8) for j in range(8)]) / 4.0
+    return {
+        "quarter-grid": grid[rng.permutation(64)],
+        "few-levels": rng.integers(0, 3, size=(150, 4)) * 0.5,
+        "offset-1e6": rng.integers(0, 4, size=(120, 3)) / 4.0 + 1e6,
+        "random": rng.normal(size=(200, 8)) * 10.0 ** rng.integers(-3, 4, size=8),
+    }
+
+
+class TestCoreRadii:
+    @pytest.mark.parametrize("cells", [1, 3, 50, 997, models.RADIUS_BLOCK_CELLS])
+    @pytest.mark.parametrize("name", sorted(radius_test_balls()))
+    def test_bit_equal_to_per_core_loop(self, name, cells, monkeypatch):
+        monkeypatch.setattr(models, "RADIUS_BLOCK_CELLS", cells)
+        points = radius_test_balls()[name]
+        sorted_pts, sizes, means, center = peel_cores(points, n_min=2)
+        got = core_radii(sorted_pts, sizes, means, center)
+        assert np.array_equal(got, core_radii_loop(sorted_pts, sizes, means))
+
+    def test_bit_equal_on_random_balls(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            n, d = int(rng.integers(2, 120)), int(rng.integers(1, 10))
+            points = rng.integers(0, int(rng.integers(2, 6)), size=(n, d)) / 4.0 \
+                if rng.random() < 0.5 else rng.normal(size=(n, d))
+            points = points + rng.choice([0.0, 1e3, -1e6])
+            monkeypatch.setattr(models, "RADIUS_BLOCK_CELLS", int(rng.integers(1, 4 * n * n)))
+            sorted_pts, sizes, means, center = peel_cores(points, int(rng.integers(1, n)))
+            got = core_radii(sorted_pts, sizes, means, center)
+            assert np.array_equal(got, core_radii_loop(sorted_pts, sizes, means))
 
 
 class TestEvaluateBall:
