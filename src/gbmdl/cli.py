@@ -1,10 +1,10 @@
 """Dataset ingestion, pipeline orchestration with seeded repetition, and reporting.
 
 The command line runs: load CSV -> normalize -> generate balls -> cluster the
-ball centers (once per seeded k-means++ run) -> propagate labels -> score
-against the ground truth, and writes a machine-readable JSON (or CSV summary)
-report. Ground-truth labels are consumed by the metrics only; no clustering
-stage sees them.
+ball centers (once per seeded run) -> propagate labels -> score against the
+ground truth, and writes a machine-readable JSON (or CSV summary) report.
+Ground-truth labels are consumed by the metrics only; no clustering stage
+sees them.
 """
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def run_pipeline(config: RunConfig) -> dict:
     The report is the dict the CLI prints, with the keys config, dataset,
     generation, runs and summary in that order. Generation is deterministic,
     so it runs once and is shared by all seeded backend runs (run i uses
-    seed + i). Only k-means++ reads the seed, so the other backends cluster
-    once and every run row reuses those labels.
+    seed + i).
     """
     dataset = load_csv(config.input, config.label_col)
     if dataset.labels is not None and dataset.n < 2:
@@ -197,13 +196,11 @@ def run_pipeline(config: RunConfig) -> dict:
         verdicts[verdict.choice.value] += 1
 
     run_rows = []
-    clustering = None
     for i in range(config.runs):
         run_seed = config.seed + i
         t1 = time.perf_counter()
-        if clustering is None or config.backend == "kmeanspp":   # only k-means++ reads the seed
-            clustering = cluster_or_passthrough(
-                list(result.stable_balls), k, config.backend, seed=run_seed)
+        clustering = cluster_or_passthrough(
+            list(result.stable_balls), k, config.backend, seed=run_seed)
         sample_labels = labels_to_samples(result.ownership, clustering.ball_labels)
         run_seconds = time.perf_counter() - t1
         row = {"seed": run_seed, "ari": None, "acc": None, "nmi": None,

@@ -225,8 +225,9 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
 
     The dataset is expected to be normalized to the unit hypercube; pass an
     explicit ``background_log_volume`` to run on raw coordinates. Raw values
-    must keep 4·Σ|x_i|² finite, which bounds every squared distance and every
-    sum of squares the engine forms.
+    must keep 4·n·Σ|x_i|² finite. That bounds every squared distance, every
+    sum of squares and every squared member sum |Σ_S x|² ≤ |S|·Σ|x_i|² the
+    engine forms.
     """
     if background_log_volume is None:
         lo, hi = dataset.values.min(), dataset.values.max()
@@ -236,10 +237,10 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
         background_log_volume = 0.0
     else:
         with np.errstate(over="ignore"):
-            bound = 4.0 * np.einsum("ij,ij->", dataset.values, dataset.values)
+            bound = 4.0 * dataset.n * np.einsum("ij,ij->", dataset.values, dataset.values)
         if not np.isfinite(bound):
             raise DataQualityError(
-                "raw values are too large: their squared norms overflow float64; normalize first")
+                "raw values are too large: their sums of squares overflow float64; normalize first")
 
     stable, pool, trace = generate_stable_balls(dataset, config)
     updated, _, background = reassign_residuals(

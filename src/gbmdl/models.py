@@ -20,8 +20,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
 RADIUS_FLOOR = 1e-12
 VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
-# The peel scan prices at most this many point-to-core-mean cells at a time
-# (8 MB of float64), so its scratch memory does not grow with the ball size.
+# The peel scan prices at most this many point coordinates against core means
+# at a time (8 MB of float64), so its scratch memory does not grow with the
+# ball size.
 RADIUS_BLOCK_CELLS = 1 << 20
 
 
@@ -156,10 +157,12 @@ def core_radii(points: np.ndarray, sizes: np.ndarray, means: np.ndarray,
 
     Entry j is the largest distance from points[:sizes[j]] to means[j], equal
     bit for bit to ``ball_radius(points[:sizes[j]], means[j])``. Candidate
-    rows come from one GEMM per block of at most ``RADIUS_BLOCK_CELLS`` cells,
-    on coordinates shifted by ``center`` so the expansion stays
-    well-conditioned; every row within a rounding margin of its column's
-    maximum is then priced by direct differences and the largest is kept.
+    rows come from one GEMM per block of columns, on coordinates shifted by
+    ``center`` so the expansion stays well-conditioned; every row within a
+    rounding margin of its column's maximum is then priced by direct
+    differences and the largest is kept. A block spans at most
+    ``RADIUS_BLOCK_CELLS`` point coordinates, so even when every row is near
+    the maximum (duplicate points) the repricing stays that size.
     """
     shifted = points - center
     shifted_means = means - center
@@ -169,7 +172,8 @@ def core_radii(points: np.ndarray, sizes: np.ndarray, means: np.ndarray,
     margin = max(1e-12, 1e-14 * points.shape[1]) * (sq.max() + sq_means)
 
     radii = np.empty(len(sizes))
-    width = max(1, RADIUS_BLOCK_CELLS // int(sizes.max()))
+    # a block's repriced rows hold at most rows x width x d coordinates
+    width = max(1, RADIUS_BLOCK_CELLS // (int(sizes.max()) * points.shape[1]))
     for start in range(0, len(sizes), width):
         block = slice(start, start + width)
         rows = int(sizes[block].max())

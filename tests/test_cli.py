@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from gbmdl import backends
 from gbmdl.cli import RunConfig, load_csv, main, render, run_pipeline
 from gbmdl.errors import ConfigurationError, CsvParseError
 
@@ -135,21 +134,6 @@ class TestRunPipeline:
         report = run_pipeline(RunConfig(input=blob_csv, backend="ac", runs=3))
         assert report["summary"]["ari_std"] == 0.0
 
-    def test_ward_runs_once_per_report(self, blob_csv, monkeypatch):
-        calls = []
-        ward = backends.agglomerative_ward
-
-        def counted(centers, K):
-            calls.append(len(centers))
-            return ward(centers, K)
-
-        monkeypatch.setattr(backends, "agglomerative_ward", counted)
-        report = run_pipeline(RunConfig(input=blob_csv, backend="ac", k="1", runs=3,
-                                        omit_timings=True))
-        assert calls == [report["generation"]["balls"]]
-        rows = [{**row, "seed": None} for row in report["runs"]]
-        assert rows[0] == rows[1] == rows[2]
-
     def test_json_schema_key_order(self, blob_csv):
         report = run_pipeline(RunConfig(input=blob_csv))
         data = json.loads(render(report))
@@ -249,9 +233,15 @@ class TestCommandLine:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "feature 0" in lines[0]
 
-    def test_raw_square_overflow_reports_data_error(self, tmp_path, capsys):
-        # ranges are finite, but squared coordinates overflow float64 without normalization
-        path = write(tmp_path / "huge.csv", "1e200,0\n-1e200,1\n0,0\n5e199,1\n")
+    @pytest.mark.parametrize("rows", [
+        # squared coordinates overflow float64
+        "1e200,0\n-1e200,1\n0,0\n5e199,1\n",
+        # 4·Σ|x|² ≈ 1.25e308 is finite, but |Σx|² over all 20 rows is not
+        "1.3e153,0\n" * 10 + "1.2e153,1\n" * 10,
+    ], ids=["squares", "member-sum"])
+    def test_raw_square_overflow_reports_data_error(self, tmp_path, capsys, rows):
+        # ranges are finite, but the raw coordinates overflow without normalization
+        path = write(tmp_path / "huge.csv", rows)
         flags = ["--input", path, "--label-col", "none", "--k", "2", "--omit-timings"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

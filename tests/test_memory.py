@@ -7,11 +7,12 @@ its buffers to tracemalloc), so they repeat exactly from run to run.
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall
 from gbmdl.generation import assign_samples
-from gbmdl.models import l3_best_peel
+from gbmdl.models import RADIUS_FLOOR, l3_best_peel
 
 MB = 2 ** 20
 
@@ -46,11 +47,18 @@ def test_load_csv_memory_is_linear(tmp_path):
     assert peak < 4 * MB
 
 
-def test_peel_scan_memory_is_bounded():
+@pytest.mark.parametrize("layout", ["normal", "two-duplicates"])
+def test_peel_scan_memory_is_bounded(layout):
     # a dense 8000 x 8000 point-to-core-mean matrix alone would take 512 MB
     rng = np.random.default_rng(2)
-    values = rng.normal(size=(8_000, 4))
+    if layout == "normal":
+        values = rng.normal(size=(8_000, 4))
+    else:
+        # every copy of the farthest point is near each core's maximum, so
+        # almost every row of a block is repriced
+        values = rng.permutation(np.repeat(np.eye(2, 8), 4_000, axis=0))
     ball = GranularBall.from_members(values, np.arange(8_000))
+    assert ball.radius > RADIUS_FLOOR
     (length, peel), peak = traced_peak(l3_best_peel, ball, values, 5)
     assert np.isfinite(length) and peel[0].size + peel[1].size == 8_000
     assert peak < 32 * MB
