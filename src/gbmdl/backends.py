@@ -87,7 +87,7 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
 
 def _lloyd_once(points: np.ndarray, K: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    n = points.shape[0]
+    n, d = points.shape
 
     # D^2 seeding
     chosen = [int(rng.integers(n))]
@@ -102,9 +102,14 @@ def _lloyd_once(points: np.ndarray, K: int,
         d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
     centroids = points[chosen].copy()
 
+    # Reducing over the leading feature axis sums the features in index order
+    # (numpy sums a trailing axis pairwise from 8 terms on), and bincount adds
+    # each cluster's rows in ascending row order.
+    cols = np.ascontiguousarray(points.T)
+    feature = np.arange(d)
     labels = None
     for _ in range(KMEANS_MAX_ITER):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dist2 = ((cols[:, :, None] - centroids.T[:, None, :]) ** 2).sum(axis=0)
         new_labels = np.argmin(dist2, axis=1)
 
         counts = np.bincount(new_labels, minlength=K)
@@ -120,8 +125,9 @@ def _lloyd_once(points: np.ndarray, K: int,
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
-        for c in range(K):
-            centroids[c] = points[labels == c].mean(axis=0)
+        sums = np.bincount((labels[:, None] * d + feature).ravel(), weights=points.ravel(),
+                           minlength=K * d)
+        centroids = sums.reshape(K, d) / counts[:, None]
 
     sse = float(((points - centroids[labels]) ** 2).sum())
     return labels, sse
@@ -133,7 +139,9 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     Runs ``KMEANS_RESTARTS`` independent seeded attempts and keeps the lowest
     within-cluster SSE (ties: lowest restart index). Empty clusters are
     repaired by stealing the point farthest from its assigned centroid among
-    clusters that keep a member. Same seed, same labels.
+    clusters that keep a member. Squared distances are summed over features
+    in index order, and each centroid is the sequential sum of its rows
+    divided by its count. Same seed, same labels.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if K < 1 or centers.shape[0] < K:

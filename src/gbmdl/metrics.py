@@ -24,6 +24,8 @@ class ContingencyTable:
         b = np.asarray(b).ravel()
         if a.shape != b.shape:
             raise ValueError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
+        if a.size == 0:
+            raise ValueError("both labelings are empty; scoring needs at least one sample")
         _, ai = np.unique(a, return_inverse=True)
         _, bi = np.unique(b, return_inverse=True)
         counts = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)

@@ -208,3 +208,56 @@ def clusters_after(merges: list[frozenset], k: int, K: int) -> set[frozenset]:
     for merged in merges[: k - K]:
         clusters = {c for c in clusters if not c <= merged} | {merged}
     return clusters
+
+
+def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
+    """Seeded k-means++ with one Python pass per centroid and per feature.
+
+    Each of 10 restarts r draws from SeedSequence([seed % 2**63, r]): a
+    uniform first centre, then D^2 draws. Lloyd sums squared differences
+    feature by feature in index order, takes the first nearest centroid,
+    repairs each empty cluster by stealing the point farthest from its
+    centroid among clusters that keep a member, stops when the labels repeat
+    or after 300 steps, and sets each centroid to the sequential sum of its
+    rows over its count. The lowest final SSE wins, ties to the lowest
+    restart.
+    """
+    points = np.array(centers, dtype=np.float64)
+    n, d = points.shape
+    best_labels, best_sse = None, math.inf
+    for r in range(10):
+        rng = np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r]))
+        chosen = [int(rng.integers(n))]
+        d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+        for _ in range(1, K):
+            total = d2.sum()
+            nxt = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+            chosen.append(nxt)
+            d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        centroids = points[chosen].copy()
+
+        labels = None
+        for _ in range(300):
+            dist2 = np.zeros((n, K))
+            for f in range(d):
+                dist2 += (points[:, f, None] - centroids[None, :, f]) ** 2
+            new = np.argmin(dist2, axis=1)
+            counts = np.bincount(new, minlength=K)
+            own = dist2[np.arange(n), new]
+            for c in range(K):
+                if counts[c] == 0:
+                    p = int(np.argmax(np.where(counts[new] > 1, own, -1.0)))
+                    counts[new[p]] -= 1
+                    counts[c] = 1
+                    new[p] = c
+            if labels is not None and np.array_equal(labels, new):
+                break
+            labels = new
+            for c in range(K):
+                # a running sum adds the rows one by one in row order
+                centroids[c] = np.cumsum(points[labels == c], axis=0)[-1] / counts[c]
+
+        sse = float(((points - centroids[labels]) ** 2).sum())
+        if sse < best_sse:
+            best_labels, best_sse = labels, sse
+    return best_labels

@@ -10,7 +10,7 @@ from gbmdl.backends import (
 from gbmdl.core import GranularBall
 from gbmdl.errors import ConfigurationError
 
-from oracles import clusters_after, min_sse_bipartition, ward_replay
+from oracles import clusters_after, kmeanspp_replay, min_sse_bipartition, ward_replay
 
 
 def balls_from_rows(values: np.ndarray) -> list[GranularBall]:
@@ -220,6 +220,23 @@ class TestKMeansPP:
         centers = rng.random((30, 2))
         labels = kmeanspp(centers, 7, seed=0)
         assert set(labels.tolist()) == set(range(7))
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 13, 64])
+    def test_matches_per_centroid_replay(self, d):
+        n = 36
+        rng = np.random.default_rng(23 + d)
+        # the first n points of the quarter lattice {0, 1/4, 2/4, 3/4}^d: exact sums, many ties
+        lattice = np.zeros((n, d))
+        lattice[:, :3] = (np.arange(n)[:, None] // 4 ** np.arange(min(d, 3)) % 4) / 4.0
+        # fewer distinct rows than K = 8 forces coinciding centroids, so a
+        # cluster comes out empty and the repair runs
+        duplicates = rng.random((3, d))[rng.integers(0, 3, n)]
+        inputs = {"random": rng.random((n, d)), "lattice": lattice[rng.permutation(n)],
+                  "duplicates": duplicates}
+        for name, centers in inputs.items():
+            for seed, K in enumerate((1, 2, 3, 8, n)):
+                labels = kmeanspp(centers, K, seed=seed)
+                assert np.array_equal(labels, kmeanspp_replay(centers, K, seed=seed)), (name, K)
 
 
 class TestLabelsToSamples:

@@ -1,4 +1,4 @@
-"""Memory guards for CSV ingestion, final ownership and the peel scan.
+"""Memory guards for CSV ingestion, final ownership, the peel scan and k-means++.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gbmdl.backends import kmeanspp
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall
 from gbmdl.generation import assign_samples
@@ -61,4 +62,14 @@ def test_peel_scan_memory_is_bounded(layout):
     assert ball.radius > RADIUS_FLOOR
     (length, peel), peak = traced_peak(l3_best_peel, ball, values, 5)
     assert np.isfinite(length) and peel[0].size + peel[1].size == 8_000
+    assert peak < 32 * MB
+
+
+def test_kmeanspp_memory_is_bounded():
+    # one 5000 x 20 x 8 distance temporary takes 6.4 MB; forming one per
+    # restart at once would take 64 MB
+    rng = np.random.default_rng(3)
+    centers = rng.random((5_000, 8))
+    labels, peak = traced_peak(kmeanspp, centers, 20, 0)
+    assert set(labels.tolist()) == set(range(20))
     assert peak < 32 * MB

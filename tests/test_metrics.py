@@ -134,3 +134,9 @@ def test_all_metrics_invariant_under_both_relabelings():
     pr = (p + 2) % 4
     for metric in (ari, acc, nmi):
         assert metric(t, p) == pytest.approx(metric(tr, pr), abs=1e-14)
+
+
+@pytest.mark.parametrize("metric", [ari, acc, nmi])
+def test_empty_labelings_rejected_by_name(metric):
+    with pytest.raises(ValueError, match="labelings are empty"):
+        metric(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
