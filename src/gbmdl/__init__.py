@@ -17,7 +17,6 @@ from .core import (
 )
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import (
-    GenerationConfig,
     adaptive_n_min,
     assign_samples,
     farthest_point_bisect,
@@ -42,7 +41,6 @@ __all__ = [
     "DataQualityError",
     "Dataset",
     "GbmdlError",
-    "GenerationConfig",
     "GenerationResult",
     "GranularBall",
     "ModelChoice",

@@ -107,7 +107,7 @@ def _lloyd_once(points: np.ndarray, K: int,
     # each cluster's rows in ascending row order.
     cols = np.ascontiguousarray(points.T)
     feature = np.arange(d)
-    labels = None
+    seen = set()
     for _ in range(KMEANS_MAX_ITER):
         dist2 = ((cols[:, :, None] - centroids.T[:, None, :]) ** 2).sum(axis=0)
         new_labels = np.argmin(dist2, axis=1)
@@ -122,8 +122,12 @@ def _lloyd_once(points: np.ndarray, K: int,
                 counts[c] = 1
                 new_labels[p] = c
 
-        if labels is not None and np.array_equal(labels, new_labels):
+        # the next labels are a function of these alone, so a repeated state
+        # is a fixed point or a cycle
+        state = new_labels.tobytes()
+        if state in seen:
             break
+        seen.add(state)
         labels = new_labels
         sums = np.bincount((labels[:, None] * d + feature).ravel(), weights=points.ravel(),
                            minlength=K * d)
@@ -141,7 +145,10 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     repaired by stealing the point farthest from its assigned centroid among
     clusters that keep a member. Squared distances are summed over features
     in index order, and each centroid is the sequential sum of its rows
-    divided by its count. Same seed, same labels.
+    divided by its count. Lloyd stops when the new labels equal any earlier
+    label state of the restart (a fixed point or a cycle, such as the repair
+    moving a point to and fro between coinciding centroids), or after
+    ``KMEANS_MAX_ITER`` steps. Same seed, same labels.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if K < 1 or centers.shape[0] < K:

@@ -25,7 +25,7 @@ import numpy as np
 from .backends import BACKENDS, cluster_or_passthrough, labels_to_samples
 from .core import Dataset
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
-from .generation import GenerationConfig, generate
+from .generation import generate
 from .metrics import acc, ari, nmi
 from .preprocess import background_log_volume, minmax_normalize
 
@@ -44,8 +44,6 @@ class RunConfig:
     runs: int = 1
     seed: int = 0
     normalize: bool = True
-    n_min: int | None = None
-    k0: int | None = None
     format: str = "json"
     omit_timings: bool = False
     output: str | None = None
@@ -58,7 +56,6 @@ class RunConfig:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         if self.format not in ("json", "csv"):
             raise ConfigurationError("format must be json or csv")
-        GenerationConfig(n_min=self.n_min, k0=self.k0)   # rejects overrides below 1
         if self.k != "auto":
             try:
                 k = int(self.k)
@@ -187,8 +184,7 @@ def run_pipeline(config: RunConfig) -> dict:
         k = int(config.k)
 
     t0 = time.perf_counter()
-    result = generate(dataset, GenerationConfig(n_min=config.n_min, k0=config.k0),
-                      background_log_volume=bg_volume)
+    result = generate(dataset, background_log_volume=bg_volume)
     gen_seconds = time.perf_counter() - t0
 
     verdicts = {"M1": 0, "M2": 0, "M3": 0}
@@ -277,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-normalize", dest="normalize", action="store_false",
                         help="skip min-max normalization (background volume then "
                              "uses the raw bounding box)")
-    parser.add_argument("--n-min", type=int, help="override the adaptive minimum ball size")
-    parser.add_argument("--k0", type=int, help="override the initial ball count")
     parser.add_argument("--output", help="write the report here")
     parser.add_argument("--format", choices=["json", "csv"])
     parser.add_argument("--omit-timings", action="store_true",

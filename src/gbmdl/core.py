@@ -164,8 +164,7 @@ class ModelVerdict:
     """Outcome of the three-way description-length competition for one ball.
 
     ``split`` is present iff the two-ball model won; ``peel_q`` (the residual
-    size) iff the core-plus-residual model won. A ball is abnormal iff
-    ``min(l2_star, l3_star) < l1`` strictly.
+    size) iff the core-plus-residual model won.
     """
 
     choice: ModelChoice
@@ -174,10 +173,6 @@ class ModelVerdict:
     l3_star: float
     split: tuple[np.ndarray, np.ndarray] | None = None
     peel_q: int | None = None
-
-    @property
-    def abnormal(self) -> bool:
-        return min(self.l2_star, self.l3_star) < self.l1
 
 
 @dataclass(frozen=True)

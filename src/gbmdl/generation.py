@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +23,12 @@ from .core import (
     ModelVerdict,
     stats_add_point,
 )
-from .errors import ConfigurationError, DataQualityError
+from .errors import DataQualityError
 from .models import evaluate_ball, l1_length
 
 # Ownership prices at most this many sample-to-center distances at a time
 # (512 KB of float64), so its scratch memory does not grow with n.
 OWNERSHIP_BLOCK_CELLS = 1 << 16
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Knobs of the generation stage.
-
-    ``n_min`` and ``k0`` are derived from the data shape when left unset;
-    overrides exist for experiments, not for routine use.
-    """
-
-    n_min: int | None = None
-    k0: int | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("n_min", "k0"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be at least 1")
 
 
 def adaptive_n_min(n: int, d: int) -> int:
@@ -115,21 +96,20 @@ def initialize_balls(dataset: Dataset, k0: int) -> list[GranularBall]:
     return [GranularBall.from_members(values, members) for members in done]
 
 
-def generate_stable_balls(dataset: Dataset, config: GenerationConfig | None = None,
-                          ) -> tuple[list[GranularBall], list[int],
-                                     list[tuple[int, ModelVerdict]]]:
+def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[int],
+                                                     list[tuple[int, ModelVerdict]]]:
     """Run the regeneration loop only; no residual attachment, no ownership.
 
-    Returns the stable balls, the peeled residual pool, and the decision
-    trace. Useful for inspecting the raw competition outcome; ``generate``
-    wraps this with reassignment and final assignment.
+    The minimum ball size and the initial ball count come from the data
+    shape (``adaptive_n_min``, ``initial_ball_count``), so the loop has no
+    parameter. Returns the stable balls, the peeled residual pool, and the
+    decision trace. Useful for inspecting the raw competition outcome;
+    ``generate`` wraps this with reassignment and final assignment.
     """
-    cfg = config or GenerationConfig()
-    n_min = cfg.n_min if cfg.n_min is not None else adaptive_n_min(dataset.n, dataset.d)
-    k0 = cfg.k0 if cfg.k0 is not None else initial_ball_count(dataset.n)
+    n_min = adaptive_n_min(dataset.n, dataset.d)
     values = dataset.values
 
-    queue = deque(initialize_balls(dataset, k0))
+    queue = deque(initialize_balls(dataset, initial_ball_count(dataset.n)))
     stable: list[GranularBall] = []
     pool: list[int] = []
     trace: list[tuple[int, ModelVerdict]] = []
@@ -219,8 +199,7 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     return owner
 
 
-def generate(dataset: Dataset, config: GenerationConfig | None = None,
-             background_log_volume: float | None = None) -> GenerationResult:
+def generate(dataset: Dataset, background_log_volume: float | None = None) -> GenerationResult:
     """Full generation pipeline: regenerate, reassign residuals, assign ownership.
 
     The dataset is expected to be normalized to the unit hypercube; pass an
@@ -242,7 +221,7 @@ def generate(dataset: Dataset, config: GenerationConfig | None = None,
             raise DataQualityError(
                 "raw values are too large: their sums of squares overflow float64; normalize first")
 
-    stable, pool, trace = generate_stable_balls(dataset, config)
+    stable, pool, trace = generate_stable_balls(dataset)
     updated, _, background = reassign_residuals(
         pool, stable, dataset.values, background_log_volume)
     ownership = assign_samples(dataset, updated)

@@ -217,10 +217,10 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     uniform first centre, then D^2 draws. Lloyd sums squared differences
     feature by feature in index order, takes the first nearest centroid,
     repairs each empty cluster by stealing the point farthest from its
-    centroid among clusters that keep a member, stops when the labels repeat
-    or after 300 steps, and sets each centroid to the sequential sum of its
-    rows over its count. The lowest final SSE wins, ties to the lowest
-    restart.
+    centroid among clusters that keep a member, stops when the labels equal
+    any earlier labels of the restart or after 300 steps, and sets each
+    centroid to the sequential sum of its rows over its count. The lowest
+    final SSE wins, ties to the lowest restart.
     """
     points = np.array(centers, dtype=np.float64)
     n, d = points.shape
@@ -236,7 +236,7 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
             d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
         centroids = points[chosen].copy()
 
-        labels = None
+        history = []
         for _ in range(300):
             dist2 = np.zeros((n, K))
             for f in range(d):
@@ -250,8 +250,9 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
                     counts[new[p]] -= 1
                     counts[c] = 1
                     new[p] = c
-            if labels is not None and np.array_equal(labels, new):
+            if any(np.array_equal(earlier, new) for earlier in history):
                 break
+            history.append(new)
             labels = new
             for c in range(K):
                 # a running sum adds the rows one by one in row order

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbmdl import backends
 from gbmdl.backends import (
     agglomerative_ward,
     cluster_or_passthrough,
@@ -237,6 +238,18 @@ class TestKMeansPP:
             for seed, K in enumerate((1, 2, 3, 8, n)):
                 labels = kmeanspp(centers, K, seed=seed)
                 assert np.array_equal(labels, kmeanspp_replay(centers, K, seed=seed)), (name, K)
+
+    @pytest.mark.parametrize("d, n", [(64, 36), (4, 600)])
+    def test_cycling_lloyd_stops_before_the_cap(self, monkeypatch, d, n):
+        # 3 distinct rows at K = 8: the repair moves points to and fro between
+        # coinciding centroids, so the labels cycle and never reach a fixed point
+        rng = np.random.default_rng(d)
+        centers = rng.random((3, d))[rng.integers(0, 3, n)]
+        labels = []
+        for cap in (299, 300):
+            monkeypatch.setattr(backends, "KMEANS_MAX_ITER", cap)
+            labels.append(kmeanspp(centers, 8, seed=0))
+        assert np.array_equal(*labels)
 
 
 class TestLabelsToSamples:

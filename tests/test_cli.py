@@ -1,12 +1,14 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbmdl.cli import RunConfig, load_csv, main, render, run_pipeline
+from gbmdl.cli import RunConfig, _build_parser, load_csv, main, render, run_pipeline
 from gbmdl.errors import ConfigurationError, CsvParseError
 
 
@@ -93,10 +95,6 @@ class TestRunConfig:
             RunConfig(input="x", k="three")
         with pytest.raises(ConfigurationError):
             RunConfig(input="x", k="0")
-        with pytest.raises(ConfigurationError, match="n_min"):
-            RunConfig(input="x", n_min=0)
-        with pytest.raises(ConfigurationError, match="k0"):
-            RunConfig(input="x", k0=0)
 
 
 class TestRunPipeline:
@@ -139,8 +137,7 @@ class TestRunPipeline:
         data = json.loads(render(report))
         assert list(data) == ["config", "dataset", "generation", "runs", "summary"]
         assert list(data["config"]) == ["input", "label_col", "backend", "k", "runs",
-                                        "seed", "normalize", "n_min", "k0", "format",
-                                        "omit_timings"]
+                                        "seed", "normalize", "format", "omit_timings"]
         assert list(data["dataset"]) == ["n", "d", "classes"]
         assert list(data["generation"]) == ["balls", "residual_background",
                                             "verdict_counts", "seconds"]
@@ -223,6 +220,11 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_single_unlabelled_row_runs(self, tmp_path, capsys):
+        path = write(tmp_path / "one.csv", "0.5,0.25\n")
+        assert main(["--input", path, "--label-col", "none", "--k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["generation"]["balls"] == 1
+
     @pytest.mark.parametrize("flags", [[], ["--no-normalize"]])
     def test_feature_range_overflow_reports_data_error(self, tmp_path, flags, capsys):
         # every value is finite, but max - min of feature 0 overflows float64
@@ -250,9 +252,11 @@ class TestCommandLine:
             assert len(lines) == 1 and lines[0].startswith("error:")
             assert main(flags) == 0
 
-    def test_overrides_accepted(self, blob_csv):
-        proc = self.cli("--input", blob_csv, "--n-min", "4", "--k0", "6",
-                        "--runs", "2", "--seed", "5", "--backend", "kmeanspp")
-        assert proc.returncode == 0
-        data = json.loads(proc.stdout)
-        assert data["config"]["n_min"] == 4 and data["config"]["k0"] == 6
+    def test_readme_flags_line_lists_every_option(self):
+        # the README paragraph that starts with "Flags:" names each option once, in parser order
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        paragraph = next(p for p in readme.split("\n\n") if p.startswith("Flags:"))
+        documented = [flag.split()[0] for flag in re.findall(r"`([^`]+)`", paragraph)]
+        options = [s for action in _build_parser()._actions for s in action.option_strings
+                   if s not in ("-h", "--help")]
+        assert documented == options

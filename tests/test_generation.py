@@ -7,9 +7,8 @@ import pytest
 from gbmdl import generation
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall, ModelChoice
-from gbmdl.errors import ConfigurationError, DataQualityError
+from gbmdl.errors import DataQualityError
 from gbmdl.generation import (
-    GenerationConfig,
     adaptive_n_min,
     assign_samples,
     farthest_point_bisect,
@@ -200,12 +199,6 @@ class TestGenerate:
         sets_a = member_sets(generate(ds), ds.values)
         sets_b = member_sets(generate(permuted), permuted.values)
         assert sets_a == sets_b
-
-    @pytest.mark.parametrize("field", ["n_min", "k0"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_rejects_overrides_below_one(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            GenerationConfig(**{field: value})
 
     def test_rejects_unnormalized_without_volume(self):
         ds = Dataset(values=np.array([[0.0], [5.0], [10.0]]))

@@ -369,7 +369,6 @@ class TestEvaluateBall:
         assert verdict.choice is ModelChoice.TWO_BALL
         assert parts is verdict.split and verdict.peel_q is None
         assert parts[0].tolist() == [0, 1, 2] and parts[1].tolist() == [3, 4, 5]
-        assert verdict.abnormal
 
     def test_outlier_chooses_peel(self):
         pts = np.array([[0.0], [0.05], [0.1], [0.15], [0.2], [1.0]])
@@ -377,14 +376,12 @@ class TestEvaluateBall:
         assert verdict.choice is ModelChoice.CORE_RESIDUAL
         assert verdict.peel_q == 1 and verdict.split is None
         assert parts[1].size == verdict.peel_q and parts[1].tolist() == [5]
-        assert verdict.abnormal
 
     def test_small_ball_forced_single(self):
         pts = np.array([[0.0], [1.0]])
         verdict, parts = evaluate_ball(ball_of(pts), pts, n_min=2)
         assert verdict.choice is ModelChoice.SINGLE_BALL and parts is None
         assert verdict.l2_star == math.inf and verdict.l3_star == math.inf
-        assert not verdict.abnormal
 
     def test_choice_is_argmin(self):
         rng = np.random.default_rng(99)
