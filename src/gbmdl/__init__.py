@@ -28,7 +28,7 @@ from .generation import (
 )
 from .metrics import ContingencyTable, acc, ari, nmi
 from .models import evaluate_ball, l1_length, l2_best_split, l3_best_peel
-from .preprocess import background_log_volume, minmax_normalize
+from .preprocess import minmax_normalize
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "agglomerative_ward",
     "ari",
     "assign_samples",
-    "background_log_volume",
     "cluster_or_passthrough",
     "evaluate_ball",
     "farthest_point_bisect",

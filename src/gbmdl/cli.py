@@ -27,7 +27,7 @@ from .core import Dataset
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import generate
 from .metrics import acc, ari, nmi
-from .preprocess import background_log_volume, minmax_normalize
+from .preprocess import minmax_normalize
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class RunConfig:
     k: str = "auto"                 # "auto" resolves to the distinct label count
     runs: int = 1
     seed: int = 0
-    normalize: bool = True
     format: str = "json"
     omit_timings: bool = False
     output: str | None = None
@@ -106,13 +105,14 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
     The header is auto-detected (a first row that is non-numeric above numeric
     data). The label column may be a header name, a 0-based index, "last", or
     "none" for unlabeled data; label values become integer ids in order of
-    first appearance. Parse failures name the offending 1-based row and
-    column. Rows are parsed one at a time straight into a float64 buffer, so
-    memory stays O(n·d).
+    first appearance. Blank and whitespace-only lines are skipped and not
+    counted; parse failures name the offending 1-based row and column. Rows
+    are parsed one at a time into a float64 buffer, so memory stays O(n·d).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_rows((row for row in csv.reader(fh) if row), path, label_column)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = (row for row in csv.reader(fh) if len(row) > 1 or "".join(row).strip())
+            return _parse_rows(rows, path, label_column)
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from None
 
@@ -169,11 +169,7 @@ def run_pipeline(config: RunConfig) -> dict:
         raise DataQualityError(
             "scoring against labels needs at least two samples; pass --label-col none")
 
-    if config.normalize:
-        dataset = minmax_normalize(dataset)
-        bg_volume = 0.0
-    else:
-        bg_volume = background_log_volume(dataset.values)
+    dataset = minmax_normalize(dataset)
 
     if config.k == "auto":
         if dataset.labels is None:
@@ -184,7 +180,7 @@ def run_pipeline(config: RunConfig) -> dict:
         k = int(config.k)
 
     t0 = time.perf_counter()
-    result = generate(dataset, background_log_volume=bg_volume)
+    result = generate(dataset)
     gen_seconds = time.perf_counter() - t0
 
     verdicts = {"M1": 0, "M2": 0, "M3": 0}
@@ -270,9 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", help="target cluster count, or 'auto' for the label count")
     parser.add_argument("--runs", type=int, help="number of seeded backend repetitions")
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--no-normalize", dest="normalize", action="store_false",
-                        help="skip min-max normalization (background volume then "
-                             "uses the raw bounding box)")
     parser.add_argument("--output", help="write the report here")
     parser.add_argument("--format", choices=["json", "csv"])
     parser.add_argument("--omit-timings", action="store_true",

@@ -136,7 +136,7 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall],
     """Attach each residual to the cheapest destination, or keep it in the background.
 
     The attachment cost of a point is the increase in a ball's single-ball
-    description length; the background costs the log bounding-box volume.
+    description length; the background costs ``background_log_volume`` nats.
     Ball statistics are frozen at entry so the outcome is independent of
     processing order; winning balls are rebuilt once at the end. Ties between
     a ball and the background go to the ball, ties between balls to the lowest
@@ -199,31 +199,18 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     return owner
 
 
-def generate(dataset: Dataset, background_log_volume: float | None = None) -> GenerationResult:
+def generate(dataset: Dataset) -> GenerationResult:
     """Full generation pipeline: regenerate, reassign residuals, assign ownership.
 
-    The dataset is expected to be normalized to the unit hypercube; pass an
-    explicit ``background_log_volume`` to run on raw coordinates. Raw values
-    must keep 4·n·Σ|x_i|² finite. That bounds every squared distance, every
-    sum of squares and every squared member sum |Σ_S x|² ≤ |S|·Σ|x_i|² the
-    engine forms.
+    The dataset must be normalized to the unit hypercube (``minmax_normalize``).
     """
-    if background_log_volume is None:
-        lo, hi = dataset.values.min(), dataset.values.max()
-        if lo < -1e-9 or hi > 1.0 + 1e-9:
-            raise DataQualityError(
-                "values fall outside [0, 1]; normalize first or supply background_log_volume")
-        background_log_volume = 0.0
-    else:
-        with np.errstate(over="ignore"):
-            bound = 4.0 * dataset.n * np.einsum("ij,ij->", dataset.values, dataset.values)
-        if not np.isfinite(bound):
-            raise DataQualityError(
-                "raw values are too large: their sums of squares overflow float64; normalize first")
+    lo, hi = dataset.values.min(), dataset.values.max()
+    if lo < -1e-9 or hi > 1.0 + 1e-9:
+        raise DataQualityError("values fall outside [0, 1]; normalize first")
 
     stable, pool, trace = generate_stable_balls(dataset)
-    updated, _, background = reassign_residuals(
-        pool, stable, dataset.values, background_log_volume)
+    # residuals are coded against the unit hypercube, whose log-volume is 0
+    updated, _, background = reassign_residuals(pool, stable, dataset.values, 0.0)
     ownership = assign_samples(dataset, updated)
     return GenerationResult(
         stable_balls=tuple(updated),

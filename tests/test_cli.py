@@ -29,7 +29,7 @@ def blob_csv(tmp_path):
 
 class TestLoadCsv:
     def test_small_numeric_label_last(self, tmp_path):
-        path = write(tmp_path / "a.csv", "1.0,0\n2.0,0\n3.0,1\n")
+        path = write(tmp_path / "a.csv", "1.0,0\n2.0,0\n3.0,1\n   \n")
         ds = load_csv(path)
         assert ds.n == 3 and ds.d == 1
         assert ds.labels.tolist() == [0, 0, 1]
@@ -48,10 +48,21 @@ class TestLoadCsv:
         path = write(tmp_path / "d.csv", "1.0,0\nabc,1\n")
         with pytest.raises(CsvParseError, match=r"row 2, column 1"):
             load_csv(path)
-        # blank lines are not counted; columns after the label keep their number
-        path = write(tmp_path / "d2.csv", "0,1.0,2.0\n\n1,2.0,abc\n")
+        # blank and whitespace-only lines are not counted; columns after the label
+        # keep their number
+        path = write(tmp_path / "d2.csv", "0,1.0,2.0\n\n  \n1,2.0,abc\n")
         with pytest.raises(CsvParseError, match=r"row 2, column 3"):
             load_csv(path, label_column="0")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("5.1,3.5,0\n4.9,3.0,0\n6.3,3.3,1\n", encoding="utf-8-sig")
+        ds = load_csv(str(path))
+        assert ds.n == 3 and ds.values[0].tolist() == [5.1, 3.5]
+        path.write_text("x,y,kind\n1,9,0\n2,8,1\n", encoding="utf-8-sig")
+        ds = load_csv(str(path), label_column="x")
+        assert ds.labels.tolist() == [0, 1]
+        assert ds.values.tolist() == [[9.0, 0.0], [8.0, 1.0]]
 
     def test_ragged_rows_named(self, tmp_path):
         path = write(tmp_path / "e.csv", "1.0,2.0,0\n1.0,0\n")
@@ -137,7 +148,7 @@ class TestRunPipeline:
         data = json.loads(render(report))
         assert list(data) == ["config", "dataset", "generation", "runs", "summary"]
         assert list(data["config"]) == ["input", "label_col", "backend", "k", "runs",
-                                        "seed", "normalize", "format", "omit_timings"]
+                                        "seed", "format", "omit_timings"]
         assert list(data["dataset"]) == ["n", "d", "classes"]
         assert list(data["generation"]) == ["balls", "residual_background",
                                             "verdict_counts", "seconds"]
@@ -225,13 +236,12 @@ class TestCommandLine:
         assert main(["--input", path, "--label-col", "none", "--k", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["generation"]["balls"] == 1
 
-    @pytest.mark.parametrize("flags", [[], ["--no-normalize"]])
-    def test_feature_range_overflow_reports_data_error(self, tmp_path, flags, capsys):
+    def test_feature_range_overflow_reports_data_error(self, tmp_path, capsys):
         # every value is finite, but max - min of feature 0 overflows float64
         path = write(tmp_path / "huge.csv", "1e308,0\n-1e308,1\n0,0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["--input", path, *flags]) == 2
+            assert main(["--input", path]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "feature 0" in lines[0]
 
@@ -241,16 +251,29 @@ class TestCommandLine:
         # 4·Σ|x|² ≈ 1.25e308 is finite, but |Σx|² over all 20 rows is not
         "1.3e153,0\n" * 10 + "1.2e153,1\n" * 10,
     ], ids=["squares", "member-sum"])
-    def test_raw_square_overflow_reports_data_error(self, tmp_path, capsys, rows):
-        # ranges are finite, but the raw coordinates overflow without normalization
+    def test_huge_coordinates_run_after_normalization(self, tmp_path, rows):
+        # ranges are finite; the raw coordinates would overflow the engine's sums
         path = write(tmp_path / "huge.csv", rows)
-        flags = ["--input", path, "--label-col", "none", "--k", "2", "--omit-timings"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main([*flags, "--no-normalize"]) == 2
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:")
-            assert main(flags) == 0
+            assert main(["--input", path, "--label-col", "none", "--k", "2",
+                         "--omit-timings"]) == 0
+
+    @pytest.mark.parametrize("argv", [["--backend", "ac", "--k", "auto"],
+                                      ["--backend", "kmeanspp", "--runs", "20", "--seed", "0"]])
+    def test_every_run_normalizes(self, iris_path, tmp_path, capsys, argv):
+        # power-of-two scales are exact, so the normalized values are bit-identical
+        iris = load_csv(iris_path)
+        scaled = iris.values * np.array([2.0 ** -20, 2.0 ** 3, 2.0 ** 40, 2.0 ** -7])
+        rows = [",".join(map(repr, [*row, label]))
+                for row, label in zip(scaled.tolist(), iris.labels.tolist())]
+        path = write(tmp_path / "scaled.csv", "\n".join(rows) + "\n")
+        reports = []
+        for source in (iris_path, path):
+            assert main(["--input", source, *argv, "--omit-timings"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            del reports[-1]["config"]["input"]
+        assert reports[0] == reports[1]
 
     def test_readme_flags_line_lists_every_option(self):
         # the README paragraph that starts with "Flags:" names each option once, in parser order

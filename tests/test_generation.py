@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -200,11 +199,10 @@ class TestGenerate:
         sets_b = member_sets(generate(permuted), permuted.values)
         assert sets_a == sets_b
 
-    def test_rejects_unnormalized_without_volume(self):
+    def test_rejects_unnormalized(self):
         ds = Dataset(values=np.array([[0.0], [5.0], [10.0]]))
         with pytest.raises(DataQualityError):
             generate(ds)
-        generate(ds, background_log_volume=math.log(10.0))  # explicit volume is fine
 
     def test_ownership_covers_every_sample(self):
         ds = blobs(seed=6)

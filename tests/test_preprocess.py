@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from gbmdl.core import Dataset
 from gbmdl.errors import DataQualityError
-from gbmdl.preprocess import background_log_volume, minmax_normalize
+from gbmdl.preprocess import minmax_normalize
 
 
 def test_endpoints_map_to_unit_interval():
@@ -49,16 +47,3 @@ def test_order_preserving_per_feature():
         assert np.array_equal(np.argsort(raw[:, j], kind="stable"),
                               np.argsort(ds.values[:, j], kind="stable"))
 
-
-class TestBackgroundLogVolume:
-    def test_normalized_unit_hypercube(self):
-        assert background_log_volume(np.array([[0.0, 0.0], [1.0, 1.0]])) == 0.0
-
-    def test_raw_bounding_box(self):
-        values = np.array([[0.0, 0.0], [2.0, 3.0]])
-        assert background_log_volume(values) == pytest.approx(math.log(6.0))
-
-    def test_constant_feature_range_floored(self):
-        expected = math.log(2.0) + math.log(1e-12)
-        values = np.array([[0.0, 5.0], [2.0, 5.0]])
-        assert background_log_volume(values) == pytest.approx(expected)
