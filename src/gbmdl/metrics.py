@@ -28,8 +28,8 @@ class ContingencyTable:
             raise ValueError("both labelings are empty; scoring needs at least one sample")
         _, ai = np.unique(a, return_inverse=True)
         _, bi = np.unique(b, return_inverse=True)
-        counts = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-        np.add.at(counts, (ai, bi), 1)
+        rows, cols = ai.max() + 1, bi.max() + 1
+        counts = np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols)
         return cls(counts=counts, row_marginals=counts.sum(axis=1),
                    col_marginals=counts.sum(axis=0), n=int(a.shape[0]))
 

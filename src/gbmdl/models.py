@@ -13,17 +13,13 @@ import math
 
 import numpy as np
 
-from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, stats_sse
+from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, ball_radius, stats_sse
 from .errors import GbmdlError
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
 RADIUS_FLOOR = 1e-12
 VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
-# The peel scan prices at most this many point coordinates against core means
-# at a time (8 MB of float64), so its scratch memory does not grow with the
-# ball size.
-RADIUS_BLOCK_CELLS = 1 << 20
 
 
 class DegenerateDirectionError(GbmdlError):
@@ -151,43 +147,6 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     return float(lengths[best]), (np.sort(sorted_members[:cut]), np.sort(sorted_members[cut:]))
 
 
-def core_radii(points: np.ndarray, sizes: np.ndarray, means: np.ndarray,
-               center: np.ndarray) -> np.ndarray:
-    """Radius of every prefix core about its own mean.
-
-    Entry j is the largest distance from points[:sizes[j]] to means[j], equal
-    bit for bit to ``ball_radius(points[:sizes[j]], means[j])``. Candidate
-    rows come from one GEMM per block of columns, on coordinates shifted by
-    ``center`` so the expansion stays well-conditioned; every row within a
-    rounding margin of its column's maximum is then priced by direct
-    differences and the largest is kept. A block spans at most
-    ``RADIUS_BLOCK_CELLS`` point coordinates, so even when every row is near
-    the maximum (duplicate points) the repricing stays that size.
-    """
-    shifted = points - center
-    shifted_means = means - center
-    sq = np.einsum("ij,ij->i", shifted, shifted)
-    sq_means = np.einsum("ij,ij->i", shifted_means, shifted_means)
-    # both routes err by about d·eps·(|x|² + |mu|²); the margin covers that for any d
-    margin = max(1e-12, 1e-14 * points.shape[1]) * (sq.max() + sq_means)
-
-    radii = np.empty(len(sizes))
-    # a block's repriced rows hold at most rows x width x d coordinates
-    width = max(1, RADIUS_BLOCK_CELLS // (int(sizes.max()) * points.shape[1]))
-    for start in range(0, len(sizes), width):
-        block = slice(start, start + width)
-        rows = int(sizes[block].max())
-        score = shifted[:rows] @ shifted_means[block].T   # |x - mu|² - |mu|², up to rounding
-        score *= -2.0
-        score += sq[:rows, None]
-        score[np.arange(rows)[:, None] >= sizes[block]] = -np.inf
-        near = score >= score.max(axis=0) - margin[block]
-        col, row = np.nonzero(near.T)    # grouped by column; each column keeps its max row
-        dist = np.sqrt(((points[row] - means[start + col]) ** 2).sum(axis=1))
-        radii[block] = np.maximum.reduceat(dist, np.searchsorted(col, np.arange(near.shape[1])))
-    return radii
-
-
 def l3_best_peel(ball: GranularBall, values: np.ndarray,
                  n_min: int) -> tuple[float, Parts | None]:
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
@@ -200,6 +159,13 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     encode q itself. Returns the best length and the (core, residual) member
     indices, each ascending, or (+inf, None) when n_B <= n_min, or when the
     ball radius sits at or below the radius floor so no residual shell exists.
+
+    Only the residual sizes that can win are measured. A core's radius is at
+    most its farthest point's distance to the ball center plus its mean's
+    distance to that center, and a larger radius only thins the shell, so
+    that bound prices every q from below in O(n_B·d). The q with the lowest
+    bound is measured exactly, then every q whose bound does not exceed that
+    length; the first minimum among them is the full scan's, bit for bit.
     """
     n_b = ball.size
     if n_b <= n_min:
@@ -217,14 +183,29 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     q = np.arange(1, n_b - n_min + 1)
     sizes = n_b - q
     core = BallStats(sizes, prefix.sum[sizes - 1], prefix.sumsq[sizes - 1])
-    # each core radius is measured about that core's own mean
-    radii = core_radii(sorted_pts, sizes, core.sum / sizes[:, None], ball.center)
-    lengths = l1_length(core, d) + q * log_shell_volume(d, 2.0 * ball.radius, radii) \
-        + math.log(max(n_b, 2))
+    means = core.sum / sizes[:, None]
+    l1 = l1_length(core, d)
+    log_n = math.log(max(n_b, 2))
 
-    best = int(np.argmin(lengths))  # first minimum = smallest q
-    size = int(sizes[best])
-    return float(lengths[best]), (np.sort(sorted_members[:size]), np.sort(sorted_members[size:]))
+    def lengths(j, radii: np.ndarray) -> np.ndarray:
+        return l1[j] + q[j] * log_shell_volume(d, 2.0 * ball.radius, radii) + log_n
+
+    def exact(j: int) -> float:   # each core radius is measured about that core's own mean
+        return lengths([j], np.array([ball_radius(sorted_pts[:sizes[j]], means[j])]))[0]
+
+    # (d + 4)·8 eps of slack keeps the bound above the rounded exact radius
+    # where the triangle inequality is tight (collinear points)
+    r_hi = (dist[order][sizes - 1] + np.sqrt(((means - ball.center) ** 2).sum(axis=1))) \
+        * (1.0 + 8 * (d + 4) * math.ulp(1.0))
+    low = lengths(slice(None), r_hi)
+    j0 = int(np.argmin(low))
+    best_len = exact(j0)
+    survivors = np.flatnonzero(low <= best_len)
+    exact_lengths = [best_len if j == j0 else exact(j) for j in survivors]
+
+    k = int(np.argmin(exact_lengths))   # first minimum = smallest q
+    size = int(sizes[survivors[k]])
+    return float(exact_lengths[k]), (np.sort(sorted_members[:size]), np.sort(sorted_members[size:]))
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray,

@@ -354,3 +354,16 @@ def trace_digest(result) -> str:
 def test_golden_decision_trace(fixture, expected, request):
     dataset = minmax_normalize(load_csv(request.getfixturevalue(fixture)))
     assert trace_digest(generate(dataset)) == expected
+
+
+def test_golden_decision_trace_noisy_blobs():
+    # four Gaussian blobs under 30% uniform noise: many more peels than Iris and Wine
+    rng = np.random.default_rng(13)
+    means = rng.random((4, 4))
+    blob = means[rng.integers(0, 4, size=2_100)] + rng.normal(scale=0.04, size=(2_100, 4))
+    values = np.vstack([blob, rng.random((900, 4))])
+    dataset = minmax_normalize(Dataset(values=values[rng.permutation(3_000)]))
+    result = generate(dataset)
+    assert sum(v.choice is ModelChoice.CORE_RESIDUAL for _, v in result.trace) >= 20
+    assert trace_digest(result) == \
+        "5ae028f9782af0eb0d54552c2d67875cd00ebdbb1bd0807d7db0235b4aa98d38"

@@ -24,6 +24,16 @@ class TestContingencyTable:
         table = ContingencyTable.from_labels(["a", "a", "b"], [9, 7, 9])
         assert table.n == 3 and table.counts.sum() == 3
 
+    def test_counts_match_pair_loop(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(-3, 5, size=500), rng.integers(10, 13, size=500) * 7
+        table = ContingencyTable.from_labels(a, b)
+        rows, cols = np.unique(a).tolist(), np.unique(b).tolist()
+        expected = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for x, y in zip(a.tolist(), b.tolist()):
+            expected[rows.index(x), cols.index(y)] += 1
+        assert table.counts.dtype == np.int64 and np.array_equal(table.counts, expected)
+
 
 class TestAri:
     def test_identical_is_exactly_one(self):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gbmdl import models
-from gbmdl.core import GranularBall, ModelChoice, stats_from_points
+from gbmdl.core import BallStats, GranularBall, ModelChoice, ball_radius, stats_from_points
 from gbmdl.models import (
+    RADIUS_FLOOR,
     VARIANCE_FLOOR,
     DegenerateDirectionError,
-    core_radii,
     evaluate_ball,
     first_principal_direction,
     l1_length,
@@ -263,6 +263,42 @@ class TestL2BestSplit:
         assert b == pytest.approx(a, rel=1e-9)
 
 
+def full_scan_peel(points, n_min):
+    """Every q's peel length from per-core loop radii, priced in l3_best_peel's
+    order of operations; returns the first minimum and its (core, residual) pair."""
+    ball = ball_of(points)
+    n, d = points.shape
+    dist = np.sqrt(((points - ball.center) ** 2).sum(axis=1))
+    order = np.lexsort((np.arange(n), dist))
+    sorted_pts = points[order]
+    sizes = np.arange(n - 1, n_min - 1, -1)
+    sums = np.cumsum(sorted_pts, axis=0)[sizes - 1]
+    core = BallStats(sizes, sums, np.cumsum(np.einsum("ij,ij->i", sorted_pts, sorted_pts))[sizes - 1])
+    radii = core_radii_loop(sorted_pts, sizes, sums / sizes[:, None])
+    lengths = l1_length(core, d) + (n - sizes) * log_shell_volume(d, 2.0 * ball.radius, radii) \
+        + math.log(max(n, 2))
+    best = int(np.argmin(lengths))
+    return lengths[best], (np.sort(order[:sizes[best]]), np.sort(order[sizes[best]:]))
+
+
+def peel_test_balls():
+    rng = np.random.default_rng(31)
+    scaled = np.random.default_rng(21)
+    grid = np.array([(i, j) for i in range(8) for j in range(8)]) / 4.0
+    return {
+        "quarter-grid": grid[rng.permutation(64)],
+        "few-levels": rng.integers(0, 3, size=(150, 4)) * 0.5,
+        "offset-1e6": rng.integers(0, 4, size=(120, 3)) / 4.0 + 1e6,
+        "random": rng.normal(size=(200, 8)) * 10.0 ** rng.integers(-3, 4, size=8),
+        # balls on a line make the radius bound tight, so many q survive to be measured
+        "lattice-1d": np.repeat(np.arange(5) / 4.0, 60)[:, None],
+        "even-1d": (np.arange(500) / 499.0)[:, None],
+        "collinear": np.outer(np.arange(300) / 299.0, [0.6, -0.3, 0.2]) + 0.1,
+        # without its slack the rounded bound falls below the rounded exact radius here
+        "scaled-lattice-1d": scaled.integers(0, 20, size=(110, 1)) / 7.0 * scaled.random(),
+    }
+
+
 class TestL3BestPeel:
     def test_far_outlier_peeled(self):
         pts = np.array([[0.0], [0.05], [0.1], [0.15], [0.2], [1.0]])
@@ -316,50 +352,44 @@ class TestL3BestPeel:
         b, _ = l3_best_peel(ball_of(shifted), shifted, 3)
         assert b == pytest.approx(a, rel=1e-9)
 
+    @pytest.mark.parametrize("name", sorted(peel_test_balls()))
+    def test_bit_equal_to_full_scan(self, name, monkeypatch):
+        points = peel_test_balls()[name]
+        measured = []
+        monkeypatch.setattr(models, "ball_radius",
+                            lambda pts, center: measured.append(len(pts)) or ball_radius(pts, center))
+        survivors = []
+        for n_min in (2, len(points) // 4):
+            measured.clear()
+            length, (core, residual) = l3_best_peel(ball_of(points), points, n_min)
+            want, (want_core, want_residual) = full_scan_peel(points, n_min)
+            assert length == want
+            assert np.array_equal(core, want_core) and np.array_equal(residual, want_residual)
+            assert 1 <= len(measured) <= len(points) - n_min
+            survivors.append(len(measured))
+        # the 1-d balls are where the bound is tight: many q must be measured there
+        assert max(survivors) > {"lattice-1d": 100, "even-1d": 10, "collinear": 1}.get(name, 0)
 
-def peel_cores(points, n_min):
-    """Points sorted by (distance to their mean, index), the peel scan's core
-    sizes, and each core's mean."""
-    center = points.mean(axis=0)
-    dist = np.sqrt(((points - center) ** 2).sum(axis=1))
-    sorted_pts = points[np.lexsort((np.arange(len(points)), dist))]
-    sizes = np.arange(len(points) - 1, n_min - 1, -1)
-    means = np.cumsum(sorted_pts, axis=0)[sizes - 1] / sizes[:, None]
-    return sorted_pts, sizes, means, center
-
-
-def radius_test_balls():
-    rng = np.random.default_rng(31)
-    grid = np.array([(i, j) for i in range(8) for j in range(8)]) / 4.0
-    return {
-        "quarter-grid": grid[rng.permutation(64)],
-        "few-levels": rng.integers(0, 3, size=(150, 4)) * 0.5,
-        "offset-1e6": rng.integers(0, 4, size=(120, 3)) / 4.0 + 1e6,
-        "random": rng.normal(size=(200, 8)) * 10.0 ** rng.integers(-3, 4, size=8),
-    }
-
-
-class TestCoreRadii:
-    @pytest.mark.parametrize("cells", [1, 3, 50, 997, models.RADIUS_BLOCK_CELLS])
-    @pytest.mark.parametrize("name", sorted(radius_test_balls()))
-    def test_bit_equal_to_per_core_loop(self, name, cells, monkeypatch):
-        monkeypatch.setattr(models, "RADIUS_BLOCK_CELLS", cells)
-        points = radius_test_balls()[name]
-        sorted_pts, sizes, means, center = peel_cores(points, n_min=2)
-        got = core_radii(sorted_pts, sizes, means, center)
-        assert np.array_equal(got, core_radii_loop(sorted_pts, sizes, means))
-
-    def test_bit_equal_on_random_balls(self, monkeypatch):
+    def test_bit_equal_to_full_scan_on_random_balls(self):
         rng = np.random.default_rng(32)
-        for _ in range(60):
-            n, d = int(rng.integers(2, 120)), int(rng.integers(1, 10))
-            points = rng.integers(0, int(rng.integers(2, 6)), size=(n, d)) / 4.0 \
-                if rng.random() < 0.5 else rng.normal(size=(n, d))
-            points = points + rng.choice([0.0, 1e3, -1e6])
-            monkeypatch.setattr(models, "RADIUS_BLOCK_CELLS", int(rng.integers(1, 4 * n * n)))
-            sorted_pts, sizes, means, center = peel_cores(points, int(rng.integers(1, n)))
-            got = core_radii(sorted_pts, sizes, means, center)
-            assert np.array_equal(got, core_radii_loop(sorted_pts, sizes, means))
+        for _ in range(150):
+            n, d = int(rng.integers(2, 150)), int(rng.integers(1, 10))
+            kind = rng.integers(3)
+            if kind == 0:
+                points = rng.integers(0, int(rng.integers(2, 6)), size=(n, d)) / 4.0
+            elif kind == 1:
+                points = np.outer(rng.integers(0, 20, size=n) / 19.0, rng.normal(size=d))
+            else:
+                points = rng.normal(size=(n, d))
+            points = points * 10.0 ** rng.integers(-6, 7) + rng.choice([0.0, 1e3, -1e6])
+            ball = ball_of(points)
+            n_min = int(rng.integers(1, n))
+            if ball.radius <= RADIUS_FLOOR:
+                continue
+            length, peel = l3_best_peel(ball, points, n_min)
+            want, want_peel = full_scan_peel(points, n_min)
+            assert length == want
+            assert all(np.array_equal(a, b) for a, b in zip(peel, want_peel))
 
 
 class TestEvaluateBall:
