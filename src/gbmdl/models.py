@@ -147,6 +147,21 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     return float(lengths[best]), (np.sort(sorted_members[:cut]), np.sort(sorted_members[cut:]))
 
 
+def core_radius_bounds(dist_sorted: np.ndarray, sizes: np.ndarray, means: np.ndarray,
+                       center: np.ndarray) -> np.ndarray:
+    """Upper bound on the radius of every prefix core about its own mean.
+
+    Entry j bounds ``ball_radius(points[:sizes[j]], means[j])`` for points
+    sorted by ascending distance ``dist_sorted`` to ``center``: the farthest
+    core point's distance to the center plus the mean's distance to it.
+    (d + 4)·8 eps of slack keeps the bound above the rounded exact radius
+    where the triangle inequality is tight (collinear points).
+    """
+    d = means.shape[1]
+    return (dist_sorted[sizes - 1] + np.sqrt(((means - center) ** 2).sum(axis=1))) \
+        * (1.0 + 8 * (d + 4) * math.ulp(1.0))
+
+
 def l3_best_peel(ball: GranularBall, values: np.ndarray,
                  n_min: int) -> tuple[float, Parts | None]:
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
@@ -193,11 +208,7 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     def exact(j: int) -> float:   # each core radius is measured about that core's own mean
         return lengths([j], np.array([ball_radius(sorted_pts[:sizes[j]], means[j])]))[0]
 
-    # (d + 4)·8 eps of slack keeps the bound above the rounded exact radius
-    # where the triangle inequality is tight (collinear points)
-    r_hi = (dist[order][sizes - 1] + np.sqrt(((means - ball.center) ** 2).sum(axis=1))) \
-        * (1.0 + 8 * (d + 4) * math.ulp(1.0))
-    low = lengths(slice(None), r_hi)
+    low = lengths(slice(None), core_radius_bounds(dist[order], sizes, means, ball.center))
     j0 = int(np.argmin(low))
     best_len = exact(j0)
     survivors = np.flatnonzero(low <= best_len)

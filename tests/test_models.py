@@ -9,6 +9,7 @@ from gbmdl.models import (
     RADIUS_FLOOR,
     VARIANCE_FLOOR,
     DegenerateDirectionError,
+    core_radius_bounds,
     evaluate_ball,
     first_principal_direction,
     l1_length,
@@ -263,18 +264,27 @@ class TestL2BestSplit:
         assert b == pytest.approx(a, rel=1e-9)
 
 
+def peel_cores(points, n_min):
+    """The peel scan's cores: the ball, member order by (distance to the ball
+    center, index), the sorted distances, the core sizes and each core's mean."""
+    ball = ball_of(points)
+    n = len(points)
+    dist = np.sqrt(((points - ball.center) ** 2).sum(axis=1))
+    order = np.lexsort((np.arange(n), dist))
+    sizes = np.arange(n - 1, n_min - 1, -1)
+    means = np.cumsum(points[order], axis=0)[sizes - 1] / sizes[:, None]
+    return ball, order, dist[order], sizes, means
+
+
 def full_scan_peel(points, n_min):
     """Every q's peel length from per-core loop radii, priced in l3_best_peel's
     order of operations; returns the first minimum and its (core, residual) pair."""
-    ball = ball_of(points)
+    ball, order, _, sizes, means = peel_cores(points, n_min)
     n, d = points.shape
-    dist = np.sqrt(((points - ball.center) ** 2).sum(axis=1))
-    order = np.lexsort((np.arange(n), dist))
     sorted_pts = points[order]
-    sizes = np.arange(n - 1, n_min - 1, -1)
     sums = np.cumsum(sorted_pts, axis=0)[sizes - 1]
     core = BallStats(sizes, sums, np.cumsum(np.einsum("ij,ij->i", sorted_pts, sorted_pts))[sizes - 1])
-    radii = core_radii_loop(sorted_pts, sizes, sums / sizes[:, None])
+    radii = core_radii_loop(sorted_pts, sizes, means)
     lengths = l1_length(core, d) + (n - sizes) * log_shell_volume(d, 2.0 * ball.radius, radii) \
         + math.log(max(n, 2))
     best = int(np.argmin(lengths))
@@ -370,7 +380,29 @@ class TestL3BestPeel:
         # the 1-d balls are where the bound is tight: many q must be measured there
         assert max(survivors) > {"lattice-1d": 100, "even-1d": 10, "collinear": 1}.get(name, 0)
 
-    def test_bit_equal_to_full_scan_on_random_balls(self):
+
+class TestCoreRadii:
+    """The radius bound the peel scan prices every core with must sit at or
+    above the core's exact radius, so the scan still finds the full scan's
+    first minimum."""
+
+    @staticmethod
+    def check(points, n_min):
+        ball, order, dist_sorted, sizes, means = peel_cores(points, 1)
+        bounds = core_radius_bounds(dist_sorted, sizes, means, ball.center)
+        assert np.all(bounds >= core_radii_loop(points[order], sizes, means))
+        length, peel = l3_best_peel(ball_of(points), points, n_min)
+        want, want_peel = full_scan_peel(points, n_min)
+        assert length == want
+        assert all(np.array_equal(a, b) for a, b in zip(peel, want_peel))
+
+    # powers of two keep every mantissa; the odd factors change every rounding
+    @pytest.mark.parametrize("scale", [1, 3, 50, 997, 1 << 20])
+    @pytest.mark.parametrize("name", ["few-levels", "offset-1e6", "quarter-grid", "random"])
+    def test_bit_equal_to_per_core_loop(self, name, scale):
+        self.check(peel_test_balls()[name] * scale, n_min=2)
+
+    def test_bit_equal_on_random_balls(self):
         rng = np.random.default_rng(32)
         for _ in range(150):
             n, d = int(rng.integers(2, 150)), int(rng.integers(1, 10))
@@ -382,14 +414,8 @@ class TestL3BestPeel:
             else:
                 points = rng.normal(size=(n, d))
             points = points * 10.0 ** rng.integers(-6, 7) + rng.choice([0.0, 1e3, -1e6])
-            ball = ball_of(points)
-            n_min = int(rng.integers(1, n))
-            if ball.radius <= RADIUS_FLOOR:
-                continue
-            length, peel = l3_best_peel(ball, points, n_min)
-            want, want_peel = full_scan_peel(points, n_min)
-            assert length == want
-            assert all(np.array_equal(a, b) for a, b in zip(peel, want_peel))
+            if ball_of(points).radius > RADIUS_FLOOR:
+                self.check(points, n_min=int(rng.integers(1, n)))
 
 
 class TestEvaluateBall:
