@@ -26,7 +26,7 @@ from .generation import (
     initialize_balls,
     reassign_residuals,
 )
-from .metrics import ContingencyTable, acc, ari, nmi
+from .metrics import acc, ari, contingency, nmi
 from .models import evaluate_ball, l1_length, l2_best_split, l3_best_peel
 from .preprocess import minmax_normalize
 
@@ -36,7 +36,6 @@ __all__ = [
     "BallClustering",
     "BallStats",
     "ConfigurationError",
-    "ContingencyTable",
     "CsvParseError",
     "DataQualityError",
     "Dataset",
@@ -51,6 +50,7 @@ __all__ = [
     "ari",
     "assign_samples",
     "cluster_or_passthrough",
+    "contingency",
     "evaluate_ball",
     "farthest_point_bisect",
     "generate",

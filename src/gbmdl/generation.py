@@ -130,13 +130,13 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     return stable, sorted(pool), trace
 
 
-def reassign_residuals(pool: list[int], stable_balls: list[GranularBall],
-                       values: np.ndarray, background_log_volume: float,
+def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values: np.ndarray
                        ) -> tuple[list[GranularBall], dict[int, int], list[int]]:
     """Attach each residual to the cheapest destination, or keep it in the background.
 
     The attachment cost of a point is the increase in a ball's single-ball
-    description length; the background costs ``background_log_volume`` nats.
+    description length. The background codes a point uniformly over the unit
+    hypercube, whose log-volume is 0, so it costs 0 nats.
     Ball statistics are frozen at entry so the outcome is independent of
     processing order; winning balls are rebuilt once at the end. Ties between
     a ball and the background go to the ball, ties between balls to the lowest
@@ -156,7 +156,7 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall],
     for idx in sorted(pool):
         deltas = l1_length(stats_add_point(frozen, values[idx]), d) - base
         j = int(np.argmin(deltas))
-        if deltas[j] <= background_log_volume:
+        if deltas[j] <= 0.0:
             attachments[idx] = j
         else:
             background.append(idx)
@@ -209,8 +209,7 @@ def generate(dataset: Dataset) -> GenerationResult:
         raise DataQualityError("values fall outside [0, 1]; normalize first")
 
     stable, pool, trace = generate_stable_balls(dataset)
-    # residuals are coded against the unit hypercube, whose log-volume is 0
-    updated, _, background = reassign_residuals(pool, stable, dataset.values, 0.0)
+    updated, _, background = reassign_residuals(pool, stable, dataset.values)
     ownership = assign_samples(dataset, updated)
     return GenerationResult(
         stable_balls=tuple(updated),

@@ -154,6 +154,43 @@ def acc_bruteforce(true_labels, pred_labels) -> float:
     return best / len(true_labels)
 
 
+def ari_pairs(true_labels, pred_labels) -> float:
+    """Adjusted Rand index from agreement counts over every pair i < j."""
+    t, p = list(true_labels), list(pred_labels)
+    both = same_t = same_p = total = 0
+    for (ti, pi), (tj, pj) in itertools.combinations(zip(t, p), 2):
+        total += 1
+        same_t += ti == tj
+        same_p += pi == pj
+        both += ti == tj and pi == pj
+    expected = same_t * same_p / total
+    max_index = (same_t + same_p) / 2.0
+    if max_index == expected:
+        return 1.0
+    return (both - expected) / (max_index - expected)
+
+
+def nmi_definition(true_labels, pred_labels) -> float:
+    """Arithmetic-mean NMI in nats: I(U;V) as the double sum over cluster pairs
+    of p_ij·log(p_ij / (p_i·p_j)), divided by the mean of the two entropies."""
+    t, p = list(true_labels), list(pred_labels)
+    n = len(t)
+    rows, cols = sorted(set(t)), sorted(set(p))
+    p_t = {u: t.count(u) / n for u in rows}
+    p_p = {v: p.count(v) / n for v in cols}
+    h_t = -sum(q * math.log(q) for q in p_t.values())
+    h_p = -sum(q * math.log(q) for q in p_p.values())
+    if len(rows) == 1 or len(cols) == 1:
+        return 1.0 if len(rows) == len(cols) else 0.0
+    mutual = 0.0
+    for u in rows:
+        for v in cols:
+            p_uv = sum(1 for a, b in zip(t, p) if a == u and b == v) / n
+            if p_uv > 0:
+                mutual += p_uv * math.log(p_uv / (p_t[u] * p_p[v]))
+    return mutual / (0.5 * (h_t + h_p))
+
+
 def min_sse_bipartition(points: np.ndarray):
     """Exhaustive search over all 2-partitions minimizing total within-group SSE."""
     n = len(points)

@@ -234,8 +234,7 @@ def test_criterion_9_background_cost_identity():
         stable, pool, _ = generate_stable_balls(ds)
         background_cost = 0.0   # unit hypercube after normalization
 
-        updated, attachments, background = reassign_residuals(
-            pool, stable, ds.values, background_cost)
+        updated, attachments, background = reassign_residuals(pool, stable, ds.values)
         assert set(attachments) | set(background) == set(pool)
         d = ds.d
         for idx in pool:

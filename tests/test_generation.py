@@ -216,8 +216,7 @@ class TestReassignResiduals:
     def test_midpoint_residual_prefers_background(self):
         values = np.array([[0.0], [1.0], [0.5]])
         ball = GranularBall.from_members(values, np.array([0, 1]))
-        updated, attachments, background = reassign_residuals(
-            [2], [ball], values, background_log_volume=0.0)
+        updated, attachments, background = reassign_residuals([2], [ball], values)
         grown = stats_add_point(ball.stats, values[2])
         delta = l1_length(grown, 1) - l1_length(ball.stats, 1)
         assert delta == pytest.approx(0.5231, abs=1e-4)
@@ -230,8 +229,7 @@ class TestReassignResiduals:
         values = np.vstack([rng.normal(0.5, 0.01, size=(30, 2)), [[0.5, 0.5]]])
         values = np.clip(values, 0, 1)
         ball = GranularBall.from_members(values, np.arange(30))
-        updated, attachments, background = reassign_residuals(
-            [30], [ball], values, background_log_volume=0.0)
+        updated, attachments, background = reassign_residuals([30], [ball], values)
         assert attachments == {30: 0}
         assert background == []
         assert updated[0].size == 31
@@ -242,14 +240,12 @@ class TestReassignResiduals:
         values = np.vstack([rng.normal(0.2, 0.02, size=(25, 2)), [[1.0, 1.0]]])
         values = np.clip(values, 0, 1)
         ball = GranularBall.from_members(values, np.arange(25))
-        _, attachments, background = reassign_residuals(
-            [25], [ball], values, background_log_volume=0.0)
+        _, attachments, background = reassign_residuals([25], [ball], values)
         assert background == [25]
 
     def test_no_stable_balls_all_background(self):
         values = np.array([[0.1], [0.9]])
-        updated, attachments, background = reassign_residuals(
-            [0, 1], [], values, background_log_volume=0.0)
+        updated, attachments, background = reassign_residuals([0, 1], [], values)
         assert updated == [] and attachments == {} and background == [0, 1]
 
     def test_destination_is_argmin(self):
@@ -262,7 +258,7 @@ class TestReassignResiduals:
         balls = [GranularBall.from_members(values, np.arange(20)),
                  GranularBall.from_members(values, np.arange(20, 40))]
         pool = list(range(40, 46))
-        _, attachments, background = reassign_residuals(pool, balls, values, 0.0)
+        _, attachments, background = reassign_residuals(pool, balls, values)
         for idx in pool:
             deltas = [l1_length(stats_add_point(b.stats, values[idx]), 2)
                       - l1_length(b.stats, 2) for b in balls]

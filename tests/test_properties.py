@@ -3,7 +3,7 @@
 Every input either runs (exit 0) or is rejected as a package error (exit 2);
 no other exception escapes the CLI. Generation owns every sample, two runs on
 the same input are bit-identical, and every backend labels the balls in
-[0, K).
+[0, K). The scores do not depend on how either side names its clusters.
 """
 
 import contextlib
@@ -19,6 +19,7 @@ from gbmdl import cli
 from gbmdl.backends import BACKENDS, cluster_or_passthrough
 from gbmdl.core import Dataset
 from gbmdl.generation import generate
+from gbmdl.metrics import acc, ari, nmi
 from gbmdl.preprocess import minmax_normalize
 
 COMMANDS = (
@@ -81,3 +82,25 @@ def test_pipeline_total_and_deterministic(case):
         ball_labels = cluster_or_passthrough(list(a.stable_balls), K, backend).ball_labels
         assert ball_labels.shape == (len(a.stable_balls),)
         assert 0 <= ball_labels.min() and ball_labels.max() < K
+
+
+@st.composite
+def relabelled_labelings(draw):
+    n = draw(st.integers(2, 60))
+    t = np.asarray(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    p = np.asarray(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    # a bijection of the six ids onto arbitrary distinct values, one per side
+    ids = st.lists(st.integers(-1000, 1000), min_size=6, max_size=6, unique=True)
+    return t, p, np.asarray(draw(ids))[t], np.asarray(draw(ids))[p]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relabelled_labelings())
+def test_scores_invariant_under_relabelling(case):
+    t, p, t_renamed, p_renamed = case
+    # integer pair counts and matched counts: exactly equal
+    assert ari(t_renamed, p_renamed) == ari(t, p)
+    assert acc(t_renamed, p_renamed) == acc(t, p)
+    # float sums taken in another order: equal to rounding
+    assert abs(nmi(t_renamed, p_renamed) - nmi(t, p)) <= 1e-14
+    assert nmi(t, t_renamed) == 1.0
