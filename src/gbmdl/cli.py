@@ -122,6 +122,8 @@ def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Data
     if first is None:
         raise CsvParseError(f"{path} contains no data rows")
     second = next(rows, None)
+    if second is None and not any(map(_is_number, first)):
+        raise CsvParseError(f"{path} has a header row but no data rows")
     if _is_header(first, second):
         header, offset, head = [cell.strip() for cell in first], 2, [second]
     else:

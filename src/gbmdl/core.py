@@ -89,9 +89,14 @@ def stats_from_points(points: np.ndarray) -> BallStats:
 
 
 def stats_add_point(stats: BallStats, x: np.ndarray) -> BallStats:
-    """Statistics after adding point x; stacked stats add x to every set."""
+    """Statistics after adding point x; stacked stats add x to every set.
+
+    A (p, 1, d) stack of points against k stacked sets gives p x k grown sets.
+    The squared norm is a stacked matmul, which rounds exactly like ``x @ x``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return BallStats(stats.count + 1, stats.sum + x, stats.sumsq + float(x @ x))
+    sq = (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    return BallStats(stats.count + 1, stats.sum + x, stats.sumsq + sq)
 
 
 def stats_sse(stats: BallStats) -> float | np.ndarray:

@@ -26,9 +26,9 @@ from .core import (
 from .errors import DataQualityError
 from .models import evaluate_ball, l1_length
 
-# Ownership prices at most this many sample-to-center distances at a time
-# (512 KB of float64), so its scratch memory does not grow with n.
-OWNERSHIP_BLOCK_CELLS = 1 << 16
+# Ownership and residual reattachment price at most about this many float64
+# cells (512 KB) at a time, so their scratch memory does not grow with n.
+BLOCK_CELLS = 1 << 16
 
 
 def adaptive_n_min(n: int, d: int) -> int:
@@ -130,6 +130,16 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     return stable, sorted(pool), trace
 
 
+def _first_minima(rows: np.ndarray, cells_per_row: int, price) -> np.ndarray:
+    """Column of the first minimum in each row of ``price(rows)``, priced in blocks of
+    ``BLOCK_CELLS // cells_per_row`` rows; ``price`` must price a row alike in any block."""
+    index = np.empty(len(rows), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // cells_per_row)
+    for start in range(0, len(rows), step):
+        index[start:start + step] = np.argmin(price(rows[start:start + step]), axis=1)
+    return index
+
+
 def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values: np.ndarray
                        ) -> tuple[list[GranularBall], dict[int, int], list[int]]:
     """Attach each residual to the cheapest destination, or keep it in the background.
@@ -142,61 +152,42 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values
     a ball and the background go to the ball, ties between balls to the lowest
     ball index.
     """
+    pool = np.sort(np.asarray(pool, dtype=np.int64))
     if not stable_balls:
-        return [], {}, sorted(pool)
+        return [], {}, pool.tolist()
 
-    d = values.shape[1]
+    k, d = len(stable_balls), values.shape[1]
     frozen = BallStats(count=np.array([b.stats.count for b in stable_balls]),
                        sum=np.stack([b.stats.sum for b in stable_balls]),
                        sumsq=np.array([b.stats.sumsq for b in stable_balls]))
     base = l1_length(frozen, d)
-    attachments: dict[int, int] = {}
-    background: list[int] = []
-
-    for idx in sorted(pool):
-        deltas = l1_length(stats_add_point(frozen, values[idx]), d) - base
-        j = int(np.argmin(deltas))
-        if deltas[j] <= 0.0:
-            attachments[idx] = j
-        else:
-            background.append(idx)
-
-    extra: dict[int, list[int]] = {}
-    for idx, j in attachments.items():
-        extra.setdefault(j, []).append(idx)
-    updated = []
-    for j, ball in enumerate(stable_balls):
-        if j in extra:
-            merged = np.concatenate([ball.members, np.asarray(extra[j], dtype=np.int64)])
-            updated.append(GranularBall.from_members(values, merged))
-        else:
-            updated.append(ball)
-    return updated, attachments, background
+    # a block of p residuals grows p x k stacked stats; the background is column k
+    dest = _first_minima(values[pool, None, :], k * d, lambda x: np.pad(
+        l1_length(stats_add_point(frozen, x), d) - base, ((0, 0), (0, 1))))
+    attached = dest < k
+    updated = list(stable_balls)
+    for j in np.unique(dest[attached]).tolist():
+        merged = np.concatenate([stable_balls[j].members, pool[dest == j]])
+        updated[j] = GranularBall.from_members(values, merged)
+    return updated, dict(zip(pool[attached].tolist(), dest[attached].tolist())), \
+        pool[~attached].tolist()
 
 
 def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.ndarray:
     """Map every sample to the stable ball with the nearest center (ties: lowest index).
 
-    Rows are priced in blocks of about ``OWNERSHIP_BLOCK_CELLS`` distances with
-    the same per-row formula at any block size. Duplicate centers are priced
-    once, at their lowest ball index: BLAS may round identical columns of the
-    product differently, which would otherwise hand rows to a later copy.
+    Duplicate centers are priced once, at their lowest ball index: BLAS may
+    round identical columns of the product differently, which would otherwise
+    hand rows to a later copy.
     """
     if not stable_balls:
         raise ValueError("need at least one stable ball")
-    values = dataset.values
     centers = np.stack([b.center for b in stable_balls])
     keep = np.sort(np.unique(centers, axis=0, return_index=True)[1])
     centers = centers[keep]
     sq_c = np.einsum("ij,ij->i", centers, centers)
-    owner = np.empty(dataset.n, dtype=np.int64)
-    rows = max(1, OWNERSHIP_BLOCK_CELLS // len(keep))
-    for start in range(0, dataset.n, rows):
-        block = values[start:start + rows]
-        sq_v = np.einsum("ij,ij->i", block, block)
-        dist2 = sq_v[:, None] - 2.0 * (block @ centers.T) + sq_c[None, :]
-        owner[start:start + rows] = keep[np.argmin(dist2, axis=1)]
-    return owner
+    return keep[_first_minima(dataset.values, len(keep), lambda block: (
+        np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ centers.T) + sq_c))]
 
 
 def generate(dataset: Dataset) -> GenerationResult:

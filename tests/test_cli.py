@@ -54,6 +54,19 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r"row 2, column 3"):
             load_csv(path, label_column="0")
 
+    @pytest.mark.parametrize("label_column", ["last", "label"])
+    def test_header_without_data_rows_named(self, tmp_path, capsys, label_column):
+        path = write(tmp_path / "hdr.csv", "x,y,label\n")
+        with pytest.raises(CsvParseError, match="header row but no data rows"):
+            load_csv(path, label_column=label_column)
+        assert main(["--input", path, "--label-col", label_column]) == 2
+        assert "header row but no data rows" in capsys.readouterr().err
+
+    def test_single_row_with_one_bad_cell_names_it(self, tmp_path):
+        path = write(tmp_path / "bad.csv", "1.0,abc,0\n")
+        with pytest.raises(CsvParseError, match=r"row 1, column 2: non-numeric feature value"):
+            load_csv(path)
+
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_text("5.1,3.5,0\n4.9,3.0,0\n6.3,3.3,1\n", encoding="utf-8-sig")

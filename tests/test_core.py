@@ -98,6 +98,19 @@ class TestStats:
         assert grown_stacked.count.tolist() == [s.count for s in grown]
         assert np.array_equal(grown_stacked.sum, np.stack([s.sum for s in grown]))
         assert np.array_equal(stats_sse(grown_stacked), [stats_sse(s) for s in grown])
+        # a (p, 1, d) stack of points grows every set by every point at once
+        points = rng.random((5, 4))
+        grid = stats_add_point(stacked, points[:, None, :])
+        one_by_one = [[stats_add_point(s, p) for s in base] for p in points]
+        assert np.array_equal(np.broadcast_to(grid.count, (5, 3)),
+                              [[s.count for s in row] for row in one_by_one])
+        assert np.array_equal(grid.sum, [[s.sum for s in row] for row in one_by_one])
+        assert np.array_equal(grid.sumsq, [[s.sumsq for s in row] for row in one_by_one])
+        # |x|² rounds like x @ x (einsum differs in the last bit on many 8-d rows)
+        wide = rng.random((300, 8))
+        grown_wide = stats_add_point(stats_from_points(wide[:3]), wide[:, None, :])
+        assert np.array_equal(grown_wide.sumsq[:, 0],
+                              [stats_from_points(wide[:3]).sumsq + float(x @ x) for x in wide])
 
     def test_incremental_matches_two_pass(self):
         rng = np.random.default_rng(123)

@@ -248,17 +248,27 @@ class TestReassignResiduals:
         updated, attachments, background = reassign_residuals([0, 1], [], values)
         assert updated == [] and attachments == {} and background == [0, 1]
 
-    def test_destination_is_argmin(self):
+    def test_destination_is_argmin(self, monkeypatch):
         rng = np.random.default_rng(25)
         values = np.clip(np.vstack([
             rng.normal(0.3, 0.02, size=(20, 2)),
             rng.normal(0.7, 0.02, size=(20, 2)),
             rng.uniform(0, 1, size=(6, 2)),
+            rng.normal(0.3, 0.02, size=(3, 2)),
         ]), 0, 1)
         balls = [GranularBall.from_members(values, np.arange(20)),
-                 GranularBall.from_members(values, np.arange(20, 40))]
-        pool = list(range(40, 46))
-        _, attachments, background = reassign_residuals(pool, balls, values)
+                 GranularBall.from_members(values, np.arange(20, 40)),
+                 GranularBall.from_members(values, np.arange(20))]   # ball 0's copy
+        pool = list(range(40, 49))
+        results = []
+        # a residual prices 3 balls x 2 sums = 6 cells: blocks of 1, 1, 4 and all 9 residuals
+        for cells in (1, 5, 24, generation.BLOCK_CELLS):
+            monkeypatch.setattr(generation, "BLOCK_CELLS", cells)
+            updated, attachments, background = reassign_residuals(pool, balls, values)
+            results.append((attachments, background, [b.members.tolist() for b in updated]))
+        assert all(result == results[0] for result in results)
+        assert 0 in attachments.values() and 2 not in attachments.values()
+        assert updated[2] is balls[2]
         for idx in pool:
             deltas = [l1_length(stats_add_point(b.stats, values[idx]), 2)
                       - l1_length(b.stats, 2) for b in balls]
@@ -301,7 +311,7 @@ class TestAssignSamples:
         assert not np.isin(expected, [3, 4]).any()
         assert np.isin(expected, [0, 1]).sum() > 6
         for cells in (1, 13, 20, 41, 1 << 16):          # blocks of 1, 3, 5, 10 and all rows
-            monkeypatch.setattr(generation, "OWNERSHIP_BLOCK_CELLS", cells)
+            monkeypatch.setattr(generation, "BLOCK_CELLS", cells)
             owner = assign_samples(ds, balls)
             assert owner.dtype == np.int64
             assert np.array_equal(owner, expected)

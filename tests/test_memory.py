@@ -1,4 +1,5 @@
-"""Memory guards for CSV ingestion, final ownership, the peel scan and k-means++.
+"""Memory guards for CSV ingestion, residual reattachment, final ownership, the peel scan
+and k-means++.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -12,7 +13,7 @@ import pytest
 from gbmdl.backends import kmeanspp
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall
-from gbmdl.generation import assign_samples
+from gbmdl.generation import assign_samples, reassign_residuals
 from gbmdl.models import RADIUS_FLOOR, l3_best_peel
 
 MB = 2 ** 20
@@ -34,6 +35,18 @@ def test_assign_samples_memory_is_bounded():
     balls = [GranularBall.from_members(ds.values, np.array([i])) for i in range(64)]
     owner, peak = traced_peak(assign_samples, ds, balls)
     assert owner.shape == (200_000,)
+    assert peak < 16 * MB
+
+
+def test_reassign_memory_is_bounded():
+    # a dense 20k residuals x 256 balls x 8 float64 array alone would take 312 MB
+    rng = np.random.default_rng(4)
+    values = rng.random((20_000 + 256 * 40, 8))
+    balls = [GranularBall.from_members(values, np.arange(20_000 + 40 * j, 20_040 + 40 * j))
+             for j in range(256)]
+    (updated, attachments, background), peak = traced_peak(
+        reassign_residuals, list(range(20_000)), balls, values)
+    assert len(updated) == 256 and len(attachments) + len(background) == 20_000
     assert peak < 16 * MB
 
 
