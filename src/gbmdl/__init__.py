@@ -5,7 +5,6 @@ from .backends import (
     agglomerative_ward,
     cluster_or_passthrough,
     kmeanspp,
-    labels_to_samples,
 )
 from .core import (
     BallStats,
@@ -14,6 +13,7 @@ from .core import (
     GranularBall,
     ModelChoice,
     ModelVerdict,
+    minmax_normalize,
 )
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import (
@@ -28,7 +28,6 @@ from .generation import (
 )
 from .metrics import acc, ari, contingency, nmi
 from .models import evaluate_ball, l1_length, l2_best_split, l3_best_peel
-from .preprocess import minmax_normalize
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "l1_length",
     "l2_best_split",
     "l3_best_peel",
-    "labels_to_samples",
     "minmax_normalize",
     "nmi",
     "reassign_residuals",

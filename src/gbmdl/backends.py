@@ -1,4 +1,4 @@
-"""Downstream clustering of stable-ball centers and label propagation to samples."""
+"""Downstream clustering of stable-ball centers."""
 
 from __future__ import annotations
 
@@ -194,8 +194,3 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
     else:
         labels = kmeanspp(centers, K, seed)
     return BallClustering(ball_labels=labels)
-
-
-def labels_to_samples(ownership: np.ndarray, ball_labels: np.ndarray) -> np.ndarray:
-    """Propagate each ball's cluster label to every sample it owns."""
-    return np.asarray(ball_labels, dtype=np.int64)[np.asarray(ownership, dtype=np.int64)]

@@ -22,12 +22,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .backends import BACKENDS, cluster_or_passthrough, labels_to_samples
-from .core import Dataset
+from .backends import BACKENDS, cluster_or_passthrough
+from .core import Dataset, minmax_normalize
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import generate
 from .metrics import acc, ari, nmi
-from .preprocess import minmax_normalize
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,9 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
     data). The label column may be a header name, a 0-based index, "last", or
     "none" for unlabeled data; label values become integer ids in order of
     first appearance. Blank and whitespace-only lines are skipped and not
-    counted; parse failures name the offending 1-based row and column. Rows
-    are parsed one at a time into a float64 buffer, so memory stays O(n·d).
+    counted; parse failures and non-finite values name the offending 1-based
+    row and column. Rows are parsed one at a time into a float64 buffer, so
+    memory stays O(n·d).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -135,6 +135,9 @@ def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Data
     if d == 0:
         raise CsvParseError(f"row {offset}: no feature columns remain")
 
+    def column(c: int) -> int:   # 1-based file column of feature c, counting the label column
+        return c + 1 + (label_idx is not None and c >= label_idx)
+
     features = array.array("d")
     labels = array.array("q")
     label_ids: dict[str, int] = {}
@@ -147,13 +150,15 @@ def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Data
             features.extend(map(float, row))
         except ValueError:
             c = next(c for c, cell in enumerate(row) if not _is_number(cell))
-            cell = row[c].strip()
-            if label_idx is not None and c >= label_idx:
-                c += 1                                   # count the popped label column
-            raise CsvParseError(f"row {r}, column {c + 1}: "
-                                f"non-numeric feature value {cell!r}") from None
+            raise CsvParseError(f"row {r}, column {column(c)}: "
+                                f"non-numeric feature value {row[c].strip()!r}") from None
 
     values = np.frombuffer(features, dtype=np.float64).reshape(-1, d)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, c = np.argwhere(~finite)[0]
+        raise DataQualityError(f"row {i + offset}, column {column(c)}: "
+                               f"non-finite feature value {values[i, c]}")
     return Dataset(values=values,
                    labels=None if label_idx is None else np.frombuffer(labels, dtype=np.int64))
 
@@ -195,7 +200,7 @@ def run_pipeline(config: RunConfig) -> dict:
         t1 = time.perf_counter()
         clustering = cluster_or_passthrough(
             list(result.stable_balls), k, config.backend, seed=run_seed)
-        sample_labels = labels_to_samples(result.ownership, clustering.ball_labels)
+        sample_labels = clustering.ball_labels[result.ownership]
         run_seconds = time.perf_counter() - t1
         row = {"seed": run_seed, "ari": None, "acc": None, "nmi": None,
                "seconds": None if config.omit_timings else run_seconds}

@@ -29,8 +29,8 @@ class Dataset:
     """An n x d sample matrix plus optional integer ground-truth labels.
 
     Labels are carried along for evaluation only; no clustering stage reads
-    them. Values must be finite, and so must each feature's range; after
-    min-max normalization they lie in [0, 1].
+    them. Values must be finite, and so must each feature's range, which
+    ``minmax_normalize`` divides by to map them onto [0, 1].
     """
 
     values: np.ndarray
@@ -62,6 +62,20 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+
+def minmax_normalize(dataset: Dataset) -> Dataset:
+    """Rescale every feature to [0, 1]; constant features map to 0.
+
+    Every run is normalized, so peeled residuals are coded against a uniform
+    background on [0, 1]^d, whose log-volume is exactly 0. Constant features
+    are kept rather than dropped, so the declared dimensionality stays intact
+    for every downstream formula.
+    """
+    mins = dataset.values.min(axis=0)
+    spread = dataset.values.max(axis=0) - mins
+    scaled = (dataset.values - mins) / np.where(spread > 0, spread, 1.0)
+    return Dataset(values=scaled, labels=dataset.labels)
 
 
 @dataclass(frozen=True)
@@ -109,11 +123,6 @@ def stats_sse(stats: BallStats) -> float | np.ndarray:
     return np.maximum(stats.sumsq - sum_sq / stats.count, 0.0)
 
 
-def ball_center(stats: BallStats) -> np.ndarray:
-    """Mean of the member points."""
-    return stats.sum / stats.count
-
-
 def ball_radius(points: np.ndarray, center: np.ndarray) -> float:
     """Maximum Euclidean distance from any member point to the center."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -147,7 +156,7 @@ class GranularBall:
         members = np.sort(np.asarray(members, dtype=np.int64))
         pts = values[members]
         stats = stats_from_points(pts)
-        center = ball_center(stats)
+        center = stats.sum / stats.count
         return cls(members=members, stats=stats, center=center,
                    radius=ball_radius(pts, center))
 

@@ -14,16 +14,11 @@ import math
 import numpy as np
 
 from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, ball_radius, stats_sse
-from .errors import GbmdlError
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
 RADIUS_FLOOR = 1e-12
 VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
-
-
-class DegenerateDirectionError(GbmdlError):
-    """All points coincide, so no principal direction exists."""
 
 
 def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
@@ -49,13 +44,13 @@ def partition_cost(m1: int | np.ndarray, m2: int | np.ndarray) -> float | np.nda
     return -(m1 * np.log(np.maximum(m1, 1) / n) + m2 * np.log(np.maximum(m2, 1) / n))
 
 
-def first_principal_direction(points: np.ndarray) -> np.ndarray:
+def first_principal_direction(points: np.ndarray) -> np.ndarray | None:
     """Unit eigenvector of the sample scatter for its largest eigenvalue.
 
     Solved exactly by a symmetric eigendecomposition of the d x d scatter
     matrix, so there is no iteration count or tolerance. The sign is fixed
-    so the first nonzero coordinate is positive. Raises
-    DegenerateDirectionError when all points coincide.
+    so the first nonzero coordinate is positive. Returns None when all
+    points coincide, since no principal direction exists then.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 2:
@@ -63,7 +58,7 @@ def first_principal_direction(points: np.ndarray) -> np.ndarray:
     centered = pts - pts.mean(axis=0)
     scatter = centered.T @ centered
     if scatter.diagonal().max() <= 0.0:
-        raise DegenerateDirectionError("zero covariance: all points coincide")
+        return None
 
     v = np.linalg.eigh(scatter)[1][:, -1]   # eigenvalues ascend, so the last is the largest
     return -v if v[np.flatnonzero(v)[0]] < 0 else v
@@ -123,9 +118,8 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     if n_b < 2 * n_min:
         return math.inf, None
     pts = values[ball.members]
-    try:
-        direction = first_principal_direction(pts)
-    except DegenerateDirectionError:
+    direction = first_principal_direction(pts)
+    if direction is None:
         return math.inf, None
 
     proj = pts @ direction

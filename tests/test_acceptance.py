@@ -14,9 +14,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gbmdl.backends import cluster_or_passthrough, labels_to_samples
+from gbmdl.backends import cluster_or_passthrough
 from gbmdl.cli import RunConfig, run_pipeline
-from gbmdl.core import Dataset, GranularBall, ModelChoice, stats_add_point, stats_from_points
+from gbmdl.core import (
+    Dataset,
+    GranularBall,
+    ModelChoice,
+    minmax_normalize,
+    stats_add_point,
+    stats_from_points,
+)
 from gbmdl.generation import (
     adaptive_n_min,
     generate,
@@ -32,7 +39,6 @@ from gbmdl.models import (
     l3_best_peel,
     partition_cost,
 )
-from gbmdl.preprocess import minmax_normalize
 
 from oracles import (
     acc_bruteforce,
@@ -220,7 +226,7 @@ def test_criterion_8_separated_blobs_structure():
         for ball in result.stable_balls:
             assert np.unique(ds.labels[ball.members]).size == 1
         clustering = cluster_or_passthrough(list(result.stable_balls), 2, "ac")
-        predicted = labels_to_samples(result.ownership, clustering.ball_labels)
+        predicted = clustering.ball_labels[result.ownership]
         assert ari(ds.labels, predicted) == 1.0
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from gbmdl import backends
-from gbmdl.backends import (
-    agglomerative_ward,
-    cluster_or_passthrough,
-    kmeanspp,
-    labels_to_samples,
-)
+from gbmdl.backends import agglomerative_ward, cluster_or_passthrough, kmeanspp
 from gbmdl.core import GranularBall
 from gbmdl.errors import ConfigurationError
 
@@ -250,19 +245,3 @@ class TestKMeansPP:
             monkeypatch.setattr(backends, "KMEANS_MAX_ITER", cap)
             labels.append(kmeanspp(centers, 8, seed=0))
         assert np.array_equal(*labels)
-
-
-class TestLabelsToSamples:
-    def test_single_ball(self):
-        ownership = np.zeros(5, dtype=np.int64)
-        assert labels_to_samples(ownership, np.array([3])).tolist() == [3] * 5
-
-    def test_histogram_preserved(self):
-        ownership = np.array([0] * 60 + [1] * 40)
-        out = labels_to_samples(ownership, np.array([0, 1]))
-        assert np.bincount(out).tolist() == [60, 40]
-
-    def test_passthrough_identity(self):
-        ownership = np.array([2, 0, 1, 1])
-        out = labels_to_samples(ownership, np.arange(3))
-        assert out.tolist() == [2, 0, 1, 1]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gbmdl.cli import RunConfig, _build_parser, load_csv, main, render, run_pipeline
-from gbmdl.errors import ConfigurationError, CsvParseError
+from gbmdl.errors import ConfigurationError, CsvParseError, DataQualityError
 
 
 def write(path, text):
@@ -66,6 +66,17 @@ class TestLoadCsv:
         path = write(tmp_path / "bad.csv", "1.0,abc,0\n")
         with pytest.raises(CsvParseError, match=r"row 1, column 2: non-numeric feature value"):
             load_csv(path)
+
+    @pytest.mark.parametrize("cell, shown", [("nan", "nan"), ("-inf", "-inf"), ("1e400", "inf")])
+    def test_non_finite_cell_names_location(self, tmp_path, capsys, cell, shown):
+        # the header and the label column count, the blank line does not
+        path = write(tmp_path / "nonfinite.csv",
+                     f"label,x,y\na,0.1,0.2\nb,0.3,0.4\n\na,{cell},0.6\nb,0.7,0.8\n")
+        message = f"row 4, column 2: non-finite feature value {shown}"
+        with pytest.raises(DataQualityError, match=f"^{re.escape(message)}$"):
+            load_csv(path, label_column="label")
+        assert main(["--input", path, "--label-col", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "bom.csv"

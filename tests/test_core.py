@@ -5,7 +5,6 @@ from gbmdl.core import (
     BallStats,
     Dataset,
     GranularBall,
-    ball_center,
     ball_radius,
     stats_add_point,
     stats_from_points,
@@ -43,16 +42,16 @@ class TestDataset:
 
 class TestBallCenter:
     def test_two_point_midpoint(self):
-        stats = BallStats(count=2, sum=np.array([0.0, 2.0]), sumsq=4.0)
-        assert np.allclose(ball_center(stats), [0.0, 1.0])
+        ball = GranularBall.from_members(np.array([[0.0, 0.0], [0.0, 2.0]]), np.arange(2))
+        assert np.allclose(ball.center, [0.0, 1.0])
 
     def test_singleton_is_its_own_center(self):
-        stats = stats_from_points(np.array([[0.3]]))
-        assert ball_center(stats) == pytest.approx(0.3)
+        ball = GranularBall.from_members(np.array([[0.3]]), np.arange(1))
+        assert ball.center == pytest.approx(0.3)
 
     def test_three_point_mean(self):
-        stats = stats_from_points(np.array([[0.0], [1.0], [0.4]]))
-        assert ball_center(stats)[0] == pytest.approx(1.4 / 3, abs=1e-12)
+        ball = GranularBall.from_members(np.array([[0.0], [1.0], [0.4]]), np.arange(3))
+        assert ball.center[0] == pytest.approx(1.4 / 3, abs=1e-12)
 
 
 class TestBallRadius:
@@ -125,10 +124,9 @@ class TestStats:
     def test_radius_zero_iff_coincident(self):
         rng = np.random.default_rng(5)
         pts = rng.random((20, 3))
-        center = ball_center(stats_from_points(pts))
-        assert ball_radius(pts, center) > 0
+        assert ball_radius(pts, pts.mean(axis=0)) > 0
         same = np.full((6, 3), 0.25)
-        assert ball_radius(same, ball_center(stats_from_points(same))) == 0.0
+        assert ball_radius(same, same.mean(axis=0)) == 0.0
 
 
 class TestGranularBall:

@@ -5,7 +5,7 @@ import pytest
 
 from gbmdl import generation
 from gbmdl.cli import load_csv
-from gbmdl.core import Dataset, GranularBall, ModelChoice
+from gbmdl.core import Dataset, GranularBall, ModelChoice, minmax_normalize, stats_add_point
 from gbmdl.errors import DataQualityError
 from gbmdl.generation import (
     adaptive_n_min,
@@ -18,8 +18,6 @@ from gbmdl.generation import (
     reassign_residuals,
 )
 from gbmdl.models import evaluate_ball, l1_length
-from gbmdl.preprocess import minmax_normalize
-from gbmdl.core import stats_add_point
 
 
 def blobs(n_per: int = 50, spread: float = 0.02, seed: int = 0) -> Dataset:

@@ -1,0 +1,35 @@
+import re
+import types
+from pathlib import Path
+
+import numpy as np
+
+import gbmdl
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_all_is_exactly_the_public_names():
+    assert gbmdl.__all__ == sorted(gbmdl.__all__)
+    assert all(hasattr(gbmdl, name) for name in gbmdl.__all__)
+    public = {name for name, value in vars(gbmdl).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(gbmdl.__all__) == public
+
+
+def test_readme_library_examples_run(monkeypatch, capsys):
+    # run from the repo root, so the examples' data/ paths resolve
+    monkeypatch.chdir(REPO)
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 2
+    rng = np.random.default_rng(0)
+    my_matrix = np.vstack([rng.normal(0.25, 0.03, size=(40, 2)),
+                           rng.normal(0.75, 0.03, size=(40, 2))])
+    my_labels = np.repeat([0, 1], 40)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"),
+             {"my_matrix": my_matrix, "my_labels": my_labels})
+    out = capsys.readouterr().out
+    assert '"summary"' in out
+    assert 0.0 < float(out.splitlines()[-1]) <= 1.0   # the ARI of K=3 clusters on two blobs

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gbmdl.core import Dataset
+from gbmdl.core import Dataset, minmax_normalize
 from gbmdl.errors import DataQualityError
-from gbmdl.preprocess import minmax_normalize
 
 
 def test_endpoints_map_to_unit_interval():

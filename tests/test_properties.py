@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from gbmdl import cli
 from gbmdl.backends import BACKENDS, cluster_or_passthrough
-from gbmdl.core import Dataset
+from gbmdl.core import Dataset, minmax_normalize
 from gbmdl.generation import generate
 from gbmdl.metrics import acc, ari, nmi
-from gbmdl.preprocess import minmax_normalize
 
 COMMANDS = (
     ["--backend", "ac"],
