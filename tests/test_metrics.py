@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from gbmdl.metrics import acc, ari, contingency, nmi
 
@@ -90,6 +92,36 @@ class TestAcc:
         # more predicted clusters than true ones and vice versa
         assert acc([0, 0, 0, 0], [0, 1, 2, 3]) == 0.25
         assert acc([0, 1, 2, 3], [0, 0, 0, 0]) == 0.25
+
+    def test_matches_scipy_assignment_beyond_permutations(self):
+        # the reference total comes from scipy, used only here; each table is
+        # spelled out as labels, so acc recounts it through `contingency`, and
+        # rows < cols and rows > cols both occur
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            rows, cols = (int(x) for x in rng.integers(1, 41, size=2))
+            table = rng.integers(0, int(rng.choice([2, 4, 30])), size=(rows, cols))
+            if rng.random() < 0.3:
+                table[:, rng.integers(cols)] = 0
+            if rng.random() < 0.3:
+                table[:, rng.integers(cols)] = table[:, rng.integers(cols)]
+            if rng.random() < 0.05:   # a few counts in the tens of thousands
+                table[rng.integers(rows, size=3), rng.integers(cols, size=3)] = \
+                    rng.integers(1, 100_001, size=3)
+            table[rng.integers(rows), rng.integers(cols)] += 1   # at least one sample
+            cells = np.repeat(np.arange(rows * cols), table.ravel())
+            matched = linear_sum_assignment(table, maximize=True)
+            expected = int(table[matched].sum()) / int(table.sum())
+            assert acc(cells // cols, cells % cols) == expected
+
+    def test_many_predicted_ids_scan_the_shorter_side(self):
+        # what a large --k passthrough scores: 4 classes, 3,000 singleton clusters
+        true = np.arange(3000) % 4
+        pred = np.random.default_rng(9).permutation(3000) * 5 + 11
+        start = time.perf_counter()
+        assert acc(true, pred) == 4 / 3000
+        assert acc(pred, true) == 4 / 3000
+        assert time.perf_counter() - start < 2.0
 
 
 class TestNmi:

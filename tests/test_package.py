@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -33,3 +36,21 @@ def test_readme_library_examples_run(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert '"summary"' in out
     assert 0.0 < float(out.splitlines()[-1]) <= 1.0   # the ARI of K=3 clusters on two blobs
+
+
+def test_scoring_and_both_backends_load_no_scipy():
+    # a fresh interpreter, so modules the test run itself imported do not count
+    script = (
+        "import sys, contextlib, io\n"
+        "import gbmdl\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from gbmdl import cli\n"
+        "for extra in (['--backend', 'ac'], ['--backend', 'kmeanspp', '--runs', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['--input', 'data/iris.csv', *extra]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -103,3 +103,20 @@ def test_scores_invariant_under_relabelling(case):
     # float sums taken in another order: equal to rounding
     assert abs(nmi(t_renamed, p_renamed) - nmi(t, p)) <= 1e-14
     assert nmi(t, t_renamed) == 1.0
+
+
+@st.composite
+def uneven_labelings(draw):
+    n = draw(st.integers(1, 80))
+    # up to 9 true ids against up to 81 predicted ids, so the table is rarely square
+    t = draw(st.lists(st.integers(0, draw(st.integers(0, 8))), min_size=n, max_size=n))
+    p = draw(st.lists(st.integers(0, draw(st.integers(0, 80))), min_size=n, max_size=n))
+    return np.asarray(t), np.asarray(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(uneven_labelings())
+def test_acc_symmetric_in_its_arguments(case):
+    # swapping the labelings transposes the table; the matched total is the same integer
+    t, p = case
+    assert acc(t, p) == acc(p, t)
