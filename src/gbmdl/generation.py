@@ -81,19 +81,17 @@ def initialize_balls(dataset: Dataset, k0: int) -> list[GranularBall]:
     values = dataset.values
     # heap keys (-size, first member) never tie, because the member sets are disjoint
     heap = [(-dataset.n, 0, np.arange(dataset.n, dtype=np.int64))]
-    done: list[np.ndarray] = []
-    while len(heap) + len(done) < k0 and heap and heap[0][0] <= -2:
+    while len(heap) < k0 and heap[0][0] <= -2:
         members = heapq.heappop(heap)[2]
         halves = farthest_point_bisect(members, values)
         if min(half.size for half in halves) == 0:
-            done.append(members)
+            heapq.heappush(heap, (0, int(members[0]), members))   # sorts last: never popped again
             continue
         for half in halves:
             heapq.heappush(heap, (-half.size, int(half[0]), half))
 
-    done.extend(members for _, _, members in heap)
-    done.sort(key=lambda members: int(members[0]))
-    return [GranularBall.from_members(values, members) for members in done]
+    heap.sort(key=lambda entry: entry[1])
+    return [GranularBall.from_members(values, members) for _, _, members in heap]
 
 
 def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[int],

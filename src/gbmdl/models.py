@@ -93,14 +93,26 @@ def log_shell_volume(d: int, r_out: float,
     return np.where(r_core <= 0.0, a, shell)[()]
 
 
-def _prefix_stats(points: np.ndarray) -> BallStats:
-    """Stacked stats of every prefix: entry i covers points[:i + 1]."""
-    return BallStats(count=np.arange(1, len(points) + 1),
-                     sum=np.cumsum(points, axis=0),
-                     sumsq=np.cumsum(np.einsum("ij,ij->i", points, points)))
-
-
 Parts = tuple[np.ndarray, np.ndarray]
+
+
+def _ordered_prefix(ball: GranularBall, pts: np.ndarray,
+                    key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, BallStats]:
+    """The ball's members, points and key stable-sorted by key, plus prefix stats.
+
+    Members ascend, so exact key ties go to the lower sample id. Entry i of
+    the stacked stats covers the first i + 1 sorted points.
+    """
+    order = np.argsort(key, kind="stable")
+    pts = pts[order]
+    prefix = BallStats(count=np.arange(1, len(pts) + 1),
+                       sum=np.cumsum(pts, axis=0),
+                       sumsq=np.cumsum(np.einsum("ij,ij->i", pts, pts)))
+    return ball.members[order], pts, key[order], prefix
+
+
+def _halves(sorted_members: np.ndarray, size: int) -> Parts:
+    return np.sort(sorted_members[:size]), np.sort(sorted_members[size:])
 
 
 def l2_best_split(ball: GranularBall, values: np.ndarray,
@@ -122,12 +134,7 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     if direction is None:
         return math.inf, None
 
-    proj = pts @ direction
-    order = np.lexsort((ball.members, proj))
-    sorted_members = ball.members[order]
-    sorted_pts = pts[order]
-
-    prefix = _prefix_stats(sorted_pts)
+    sorted_members, _, _, prefix = _ordered_prefix(ball, pts, pts @ direction)
     d = pts.shape[1]
 
     m1 = np.arange(n_min, n_b - n_min + 1)
@@ -137,8 +144,7 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
         + l1_length(left, d) + l1_length(right, d)
 
     best = int(np.argmin(lengths))  # first minimum = smallest m1
-    cut = int(m1[best])
-    return float(lengths[best]), (np.sort(sorted_members[:cut]), np.sort(sorted_members[cut:]))
+    return float(lengths[best]), _halves(sorted_members, int(m1[best]))
 
 
 def core_radius_bounds(dist_sorted: np.ndarray, sizes: np.ndarray, means: np.ndarray,
@@ -177,18 +183,13 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     length; the first minimum among them is the full scan's, bit for bit.
     """
     n_b = ball.size
-    if n_b <= n_min:
-        return math.inf, None
-    if ball.radius <= RADIUS_FLOOR:
+    if n_b <= n_min or ball.radius <= RADIUS_FLOOR:
         return math.inf, None
     pts = values[ball.members]
     dist = np.sqrt(((pts - ball.center) ** 2).sum(axis=1))
-    order = np.lexsort((ball.members, dist))
-    sorted_members = ball.members[order]
-    sorted_pts = pts[order]
+    sorted_members, sorted_pts, sorted_dist, prefix = _ordered_prefix(ball, pts, dist)
     d = pts.shape[1]
 
-    prefix = _prefix_stats(sorted_pts)
     q = np.arange(1, n_b - n_min + 1)
     sizes = n_b - q
     core = BallStats(sizes, prefix.sum[sizes - 1], prefix.sumsq[sizes - 1])
@@ -202,15 +203,14 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     def exact(j: int) -> float:   # each core radius is measured about that core's own mean
         return lengths([j], np.array([ball_radius(sorted_pts[:sizes[j]], means[j])]))[0]
 
-    low = lengths(slice(None), core_radius_bounds(dist[order], sizes, means, ball.center))
+    low = lengths(slice(None), core_radius_bounds(sorted_dist, sizes, means, ball.center))
     j0 = int(np.argmin(low))
     best_len = exact(j0)
     survivors = np.flatnonzero(low <= best_len)
     exact_lengths = [best_len if j == j0 else exact(j) for j in survivors]
 
     k = int(np.argmin(exact_lengths))   # first minimum = smallest q
-    size = int(sizes[survivors[k]])
-    return float(exact_lengths[k]), (np.sort(sorted_members[:size]), np.sort(sorted_members[size:]))
+    return float(exact_lengths[k]), _halves(sorted_members, int(sizes[survivors[k]]))
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray,

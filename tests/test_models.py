@@ -37,6 +37,27 @@ def ball_of(points) -> GranularBall:
     return GranularBall.from_members(pts, np.arange(len(pts)))
 
 
+SCAN_KINDS = ["normal"] * 25 + ["embedded", "lattice"] * 20
+
+
+def scan_ball(rng, n, d, kind):
+    """A ball of n points in d dimensions and the matrix its members index.
+
+    "normal" balls are the whole matrix, so member ids equal positions.
+    "embedded" balls are an ascending, non-contiguous subset of a matrix three
+    times their size; "lattice" ones too, with every coordinate on a coarse
+    grid, so many projections and distances tie exactly.
+    """
+    if kind == "normal":
+        values = rng.normal(size=(n, d))
+        return values, ball_of(values)
+    values = rng.normal(size=(3 * n, d)) if kind == "embedded" \
+        else rng.integers(0, 3, size=(3 * n, d)) / 2.0
+    ball = GranularBall.from_members(values, np.sort(rng.choice(3 * n, size=n, replace=False)))
+    assert np.diff(ball.members).max() > 1
+    return values, ball
+
+
 class TestL1Length:
     def test_two_point_hand_value(self):
         got = l1_length(stats_from_points(np.array([[0.0], [1.0]])), d=1)
@@ -237,17 +258,17 @@ class TestL2BestSplit:
 
     def test_matches_bruteforce_on_random_balls(self):
         rng = np.random.default_rng(77)
-        for _ in range(25):
+        for kind in SCAN_KINDS:
             n = int(rng.integers(8, 120))
             d = int(rng.integers(1, 6))
-            pts = rng.normal(size=(n, d))
-            ball = ball_of(pts)
+            values, ball = scan_ball(rng, n, d, kind)
             n_min = int(rng.integers(2, max(3, n // 3)))
-            l2_star, split = l2_best_split(ball, pts, n_min)
-            if n < 2 * n_min:
+            l2_star, split = l2_best_split(ball, values, n_min)
+            pts = values[ball.members]
+            direction = first_principal_direction(pts)
+            if n < 2 * n_min or direction is None:
                 assert l2_star == math.inf and split is None
                 continue
-            direction = first_principal_direction(pts)
             oracle_len, oracle = best_split_bruteforce(pts, ball.members, direction, n_min)
             assert l2_star == pytest.approx(oracle_len, rel=1e-9)
             assert is_ascending_partition(split, ball.members)
@@ -337,15 +358,14 @@ class TestL3BestPeel:
 
     def test_matches_bruteforce_on_random_balls(self):
         rng = np.random.default_rng(88)
-        for _ in range(25):
+        for kind in SCAN_KINDS:
             n = int(rng.integers(5, 100))
             d = int(rng.integers(1, 6))
-            pts = rng.normal(size=(n, d))
-            ball = ball_of(pts)
+            values, ball = scan_ball(rng, n, d, kind)
             n_min = int(rng.integers(2, max(3, n // 2)))
-            l3_star, peel = l3_best_peel(ball, pts, n_min)
-            oracle_len, oracle = best_peel_bruteforce(pts, ball.members, n_min)
-            if n <= n_min:
+            l3_star, peel = l3_best_peel(ball, values, n_min)
+            oracle_len, oracle = best_peel_bruteforce(values[ball.members], ball.members, n_min)
+            if oracle is None:
                 assert l3_star == math.inf and peel is None
                 continue
             assert l3_star == pytest.approx(oracle_len, rel=1e-9)

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -54,3 +55,20 @@ def test_scoring_and_both_backends_load_no_scipy():
                           text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # walks every statement, so an import inside a function or branch counts too
+    for path in sorted((REPO / "src" / "gbmdl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, \
+                    f"{path.name}:{node.lineno} imports {name}"
