@@ -143,11 +143,12 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     Runs ``KMEANS_RESTARTS`` independent seeded attempts and keeps the lowest
     within-cluster SSE (ties: lowest restart index). Empty clusters are
     repaired by stealing the point farthest from its assigned centroid among
-    clusters that keep a member. Squared distances are summed over features
-    in index order, and each centroid is the sequential sum of its rows
-    divided by its count. Lloyd stops when the new labels equal any earlier
-    label state of the restart (a fixed point or a cycle, such as the repair
-    moving a point to and fro between coinciding centroids), or after
+    clusters that keep a member. Lloyd's assignment step sums squared
+    distances over features in index order (D^2 seeding takes numpy's row sum,
+    unrolled from 8 features on), and each centroid is the sequential sum of
+    its rows divided by its count. Lloyd stops when the new labels equal any
+    earlier label state of the restart (a fixed point or a cycle, such as the
+    repair moving a point to and fro between coinciding centroids), or after
     ``KMEANS_MAX_ITER`` steps. Same seed, same labels.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))

@@ -148,7 +148,7 @@ class GranularBall:
         object.__setattr__(self, "members", members)
         if members.size == 0:
             raise ValueError("a granular ball must have at least one member")
-        if members.size > 1 and not (np.diff(members) > 0).all():
+        if not (np.diff(members) > 0).all():
             raise ValueError("members must be strictly increasing sample indices")
 
     @classmethod

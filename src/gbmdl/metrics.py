@@ -96,7 +96,8 @@ def nmi(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
     """Normalized mutual information with arithmetic-mean normalization, in nats.
 
     Exactly 1 when the partitions agree up to relabelling (both single
-    clusters included), and 0 when exactly one of them is a single cluster.
+    clusters included), and exactly 0 when one of them is a single cluster:
+    then each p equals the other side's marginal and the remaining log is ln 1.
     """
     counts = contingency(true_labels, pred_labels)
     i, j = np.nonzero(counts)
@@ -104,8 +105,6 @@ def nmi(true_labels: np.ndarray, pred_labels: np.ndarray) -> float:
     # I(U;V) = H(U) = H(V) as exact sums; rounding them apart would miss 1.0
     if i.size == counts.shape[0] == counts.shape[1]:
         return 1.0
-    if min(counts.shape) == 1:
-        return 0.0
     n = counts.sum()
     p_true, p_pred = counts.sum(axis=1) / n, counts.sum(axis=0) / n
     h_true = -(p_true * np.log(p_true)).sum()

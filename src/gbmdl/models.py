@@ -86,10 +86,8 @@ def log_shell_volume(d: int, r_out: float,
     """
     a = log_ball_volume(d, r_out)
     b = log_ball_volume(d, r_core)
-    open_shell = (r_core < r_out) & (b < a)
-    # closed shells take e^-inf = 0 here and the floor below, so no log(0) is ever taken
-    shell = a + np.log1p(-np.exp(np.where(open_shell, b - a, -np.inf)))
-    shell = np.where(open_shell & (shell >= SHELL_LOG_FLOOR), shell, SHELL_LOG_FLOOR)
+    with np.errstate(divide="ignore"):   # a closed shell (b >= a) takes log1p(-1) = -inf
+        shell = np.maximum(a + np.log1p(-np.exp(np.minimum(b - a, 0.0))), SHELL_LOG_FLOOR)
     return np.where(r_core <= 0.0, a, shell)[()]
 
 
@@ -197,20 +195,18 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     l1 = l1_length(core, d)
     log_n = math.log(max(n_b, 2))
 
-    def lengths(j, radii: np.ndarray) -> np.ndarray:
+    def lengths(j, radii: float | np.ndarray) -> float | np.ndarray:
         return l1[j] + q[j] * log_shell_volume(d, 2.0 * ball.radius, radii) + log_n
 
     def exact(j: int) -> float:   # each core radius is measured about that core's own mean
-        return lengths([j], np.array([ball_radius(sorted_pts[:sizes[j]], means[j])]))[0]
+        return lengths(j, ball_radius(sorted_pts[:sizes[j]], means[j]))
 
     low = lengths(slice(None), core_radius_bounds(sorted_dist, sizes, means, ball.center))
     j0 = int(np.argmin(low))
-    best_len = exact(j0)
-    survivors = np.flatnonzero(low <= best_len)
-    exact_lengths = [best_len if j == j0 else exact(j) for j in survivors]
-
-    k = int(np.argmin(exact_lengths))   # first minimum = smallest q
-    return float(exact_lengths[k]), _halves(sorted_members, int(sizes[survivors[k]]))
+    l0 = exact(j0)
+    # first minimum of (length, j) = smallest q among the cheapest
+    best, j = min((l0 if j == j0 else exact(j), j) for j in np.flatnonzero(low <= l0))
+    return float(best), _halves(sorted_members, int(sizes[j]))
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray,

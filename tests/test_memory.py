@@ -61,16 +61,20 @@ def test_load_csv_memory_is_linear(tmp_path):
     assert peak < 4 * MB
 
 
-@pytest.mark.parametrize("layout", ["normal", "two-duplicates"])
+@pytest.mark.parametrize("layout", ["normal", "two-duplicates", "even-1d"])
 def test_peel_scan_memory_is_bounded(layout):
     # the scan keeps O(n_B·d) scratch: each 8000 x 8 float64 array takes 0.5 MB
     rng = np.random.default_rng(2)
     if layout == "normal":
         values = rng.normal(size=(8_000, 4))
-    else:
+    elif layout == "two-duplicates":
         # both points and every core mean lie on one line, where the radius
-        # bound is tight, so almost every q is measured exactly
+        # bound is tight; in this row order one q is measured exactly, while
+        # sorted rows have all 7,995 measured
         values = rng.permutation(np.repeat(np.eye(2, 8), 4_000, axis=0))
+    else:
+        # evenly spaced points on a line: 57 residual sizes are measured exactly
+        values = np.linspace(0.0, 1.0, 8_000)[:, None]
     ball = GranularBall.from_members(values, np.arange(8_000))
     assert ball.radius > RADIUS_FLOOR
     (length, peel), peak = traced_peak(l3_best_peel, ball, values, 5)

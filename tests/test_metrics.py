@@ -138,6 +138,17 @@ class TestNmi:
     def test_one_single_cluster(self):
         assert nmi([0, 0, 0, 0], [0, 1, 0, 1]) == 0.0
         assert nmi([0, 1, 0, 1], [2, 2, 2, 2]) == 0.0
+        # the general formula gives exactly 0.0: with one row (or column) each
+        # cell's p equals its column's (row's) marginal, and ln 1 = 0
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 301))
+            k = int(rng.integers(2, min(n, 7) + 1))
+            other = rng.integers(0, k, size=n)
+            other[rng.choice(n, size=k, replace=False)] = np.arange(k)
+            constant = np.full(n, rng.integers(-5, 5))
+            assert nmi(constant, other) == 0.0
+            assert nmi(other, constant) == 0.0
 
     def test_independent_labelings(self):
         assert nmi([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0, abs=1e-12)

@@ -206,6 +206,12 @@ class TestLogVolumes:
         radii = np.array([1.0, 2.0, 0.0, 0.5, 1e-13])
         assert log_shell_volume(3, 1.0, radii).tolist() == [
             log_shell_volume(3, 1.0, float(r)) for r in radii]
+        # an outer radius at or below RADIUS_FLOOR floors both log-volumes to one
+        # value, and an open 300-d shell has a log-volume below ln(1e-300)
+        for d, r_out, r_core in [(3, 1e-13, 5e-14), (300, 0.01, 0.005)]:
+            assert log_shell_volume(d, r_out, r_core) == math.log(1e-300)
+            assert log_shell_volume(d, r_out, np.array([r_core, r_out])).tolist() == [
+                math.log(1e-300)] * 2
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(31)
