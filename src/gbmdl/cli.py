@@ -177,14 +177,10 @@ def run_pipeline(config: RunConfig) -> dict:
             "scoring against labels needs at least two samples; pass --label-col none")
 
     dataset = minmax_normalize(dataset)
-
-    if config.k == "auto":
-        if dataset.labels is None:
-            raise ConfigurationError(
-                "--k auto needs ground-truth labels; pass an explicit K")
-        k = int(np.unique(dataset.labels).size)
-    else:
-        k = int(config.k)
+    classes = None if dataset.labels is None else int(np.unique(dataset.labels).size)
+    if config.k == "auto" and classes is None:
+        raise ConfigurationError("--k auto needs ground-truth labels; pass an explicit K")
+    k = classes if config.k == "auto" else int(config.k)
 
     t0 = time.perf_counter()
     result = generate(dataset)
@@ -223,7 +219,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "dataset": {
             "n": dataset.n,
             "d": dataset.d,
-            "classes": None if dataset.labels is None else int(np.unique(dataset.labels).size),
+            "classes": classes,
         },
         "generation": {
             "balls": len(result.stable_balls),

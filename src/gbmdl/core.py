@@ -123,25 +123,17 @@ def stats_sse(stats: BallStats) -> float | np.ndarray:
     return np.maximum(stats.sumsq - sum_sq / stats.count, 0.0)
 
 
-def ball_radius(points: np.ndarray, center: np.ndarray) -> float:
-    """Maximum Euclidean distance from any member point to the center."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return float(np.sqrt(((pts - center) ** 2).sum(axis=1).max()))
-
-
 @dataclass(frozen=True)
 class GranularBall:
-    """A subset of samples summarized by cached statistics, a center, and a radius.
+    """A subset of samples summarized by its count, sum and squared norm.
 
     ``members`` holds original sample indices, kept sorted ascending so that
     iteration order (and therefore floating-point accumulation order) is
-    reproducible across runs.
+    reproducible across runs. The center follows from the statistics.
     """
 
     members: np.ndarray
     stats: BallStats
-    center: np.ndarray
-    radius: float
 
     def __post_init__(self) -> None:
         members = np.asarray(self.members, dtype=np.int64)
@@ -154,15 +146,15 @@ class GranularBall:
     @classmethod
     def from_members(cls, values: np.ndarray, members: np.ndarray) -> "GranularBall":
         members = np.sort(np.asarray(members, dtype=np.int64))
-        pts = values[members]
-        stats = stats_from_points(pts)
-        center = stats.sum / stats.count
-        return cls(members=members, stats=stats, center=center,
-                   radius=ball_radius(pts, center))
+        return cls(members=members, stats=stats_from_points(values[members]))
 
     @property
     def size(self) -> int:
         return self.stats.count
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.stats.sum / self.stats.count
 
 
 class ModelChoice(Enum):

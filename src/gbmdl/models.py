@@ -13,12 +13,18 @@ import math
 
 import numpy as np
 
-from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, ball_radius, stats_sse
+from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, stats_sse
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
 RADIUS_FLOOR = 1e-12
 VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
+
+
+def ball_radius(points: np.ndarray, center: np.ndarray) -> float:
+    """Maximum Euclidean distance from any member point to the center."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return float(np.sqrt(((pts - center) ** 2).sum(axis=1).max()))
 
 
 def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
@@ -165,13 +171,13 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
 
     Members are sorted ascending by distance to the full-ball center (ties by
-    original index). For residual size q the core keeps the nearest
-    n_B - q points; its cost is the single-ball length of the core plus
-    q times the log shell volume between the core radius (about the core's own
-    mean) and the outer background radius 2 * r_B, plus ln(max(n_B, 2)) to
-    encode q itself. Returns the best length and the (core, residual) member
-    indices, each ascending, or (+inf, None) when n_B <= n_min, or when the
-    ball radius sits at or below the radius floor so no residual shell exists.
+    original index); the largest distance is the ball radius r_B. For residual
+    size q the core keeps the nearest n_B - q points; its cost is the
+    single-ball length of the core plus q times the log shell volume between
+    the core radius (about the core's own mean) and the outer background
+    radius 2 * r_B, plus ln(max(n_B, 2)) to encode q itself. Returns the best
+    length and the (core, residual) member indices, each ascending, or
+    (+inf, None) when n_B <= n_min or r_B <= RADIUS_FLOOR (no residual shell).
 
     Only the residual sizes that can win are measured. A core's radius is at
     most its farthest point's distance to the ball center plus its mean's
@@ -181,10 +187,13 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     length; the first minimum among them is the full scan's, bit for bit.
     """
     n_b = ball.size
-    if n_b <= n_min or ball.radius <= RADIUS_FLOOR:
+    if n_b <= n_min:
         return math.inf, None
     pts = values[ball.members]
     dist = np.sqrt(((pts - ball.center) ** 2).sum(axis=1))
+    r_b = dist.max()   # sqrt is correctly rounded, so monotone: this is ball_radius bit for bit
+    if r_b <= RADIUS_FLOOR:
+        return math.inf, None
     sorted_members, sorted_pts, sorted_dist, prefix = _ordered_prefix(ball, pts, dist)
     d = pts.shape[1]
 
@@ -196,7 +205,7 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     log_n = math.log(max(n_b, 2))
 
     def lengths(j, radii: float | np.ndarray) -> float | np.ndarray:
-        return l1[j] + q[j] * log_shell_volume(d, 2.0 * ball.radius, radii) + log_n
+        return l1[j] + q[j] * log_shell_volume(d, 2.0 * r_b, radii) + log_n
 
     def exact(j: int) -> float:   # each core radius is measured about that core's own mean
         return lengths(j, ball_radius(sorted_pts[:sizes[j]], means[j]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,12 @@ from gbmdl.core import (
     BallStats,
     Dataset,
     GranularBall,
-    ball_radius,
     stats_add_point,
     stats_from_points,
     stats_sse,
 )
 from gbmdl.errors import DataQualityError
+from gbmdl.models import ball_radius
 
 from oracles import two_pass_sse
 
@@ -136,18 +138,18 @@ class TestGranularBall:
         members = np.array([4, 2, 17, 9])
         ball = GranularBall.from_members(values, members)
         assert ball.members.tolist() == [2, 4, 9, 17]
+        assert [f.name for f in dataclasses.fields(GranularBall)] == ["members", "stats"]
         pts = values[ball.members]
         assert np.all(np.abs(ball.center - pts.mean(axis=0)) < 1e-10)
-        direct = np.sqrt(((pts - ball.center) ** 2).sum(axis=1)).max()
-        assert ball.radius == pytest.approx(direct, abs=1e-10)
+        assert np.array_equal(ball.center, ball.stats.sum / ball.stats.count)
 
     def test_rejects_empty_and_duplicates(self):
         values = np.zeros((5, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one member"):
             GranularBall(members=np.array([], dtype=np.int64),
-                         stats=stats_from_points(values[:1]),
-                         center=np.zeros(2), radius=0.0)
+                         stats=stats_from_points(values[:1]))
+        with pytest.raises(ValueError, match="at least one member"):
+            GranularBall.from_members(values, [])
         with pytest.raises(ValueError):
             GranularBall(members=np.array([1, 1]),
-                         stats=stats_from_points(values[:2]),
-                         center=np.zeros(2), radius=0.0)
+                         stats=stats_from_points(values[:2]))

@@ -14,7 +14,7 @@ from gbmdl.backends import kmeanspp
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall
 from gbmdl.generation import assign_samples, reassign_residuals
-from gbmdl.models import RADIUS_FLOOR, l3_best_peel
+from gbmdl.models import RADIUS_FLOOR, ball_radius, l3_best_peel
 
 MB = 2 ** 20
 
@@ -76,7 +76,7 @@ def test_peel_scan_memory_is_bounded(layout):
         # evenly spaced points on a line: 57 residual sizes are measured exactly
         values = np.linspace(0.0, 1.0, 8_000)[:, None]
     ball = GranularBall.from_members(values, np.arange(8_000))
-    assert ball.radius > RADIUS_FLOOR
+    assert ball_radius(values, ball.center) > RADIUS_FLOOR
     (length, peel), peak = traced_peak(l3_best_peel, ball, values, 5)
     assert np.isfinite(length) and peel[0].size + peel[1].size == 8_000
     assert peak < 8 * MB

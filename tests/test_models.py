@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gbmdl import models
-from gbmdl.core import BallStats, GranularBall, ModelChoice, ball_radius, stats_from_points
+from gbmdl.core import BallStats, GranularBall, ModelChoice, stats_from_points
 from gbmdl.models import (
     RADIUS_FLOOR,
     VARIANCE_FLOOR,
+    ball_radius,
     core_radius_bounds,
     evaluate_ball,
     first_principal_direction,
@@ -310,7 +311,8 @@ def full_scan_peel(points, n_min):
     sums = np.cumsum(sorted_pts, axis=0)[sizes - 1]
     core = BallStats(sizes, sums, np.cumsum(np.einsum("ij,ij->i", sorted_pts, sorted_pts))[sizes - 1])
     radii = core_radii_loop(sorted_pts, sizes, means)
-    lengths = l1_length(core, d) + (n - sizes) * log_shell_volume(d, 2.0 * ball.radius, radii) \
+    r_out = 2.0 * ball_radius(points, ball.center)
+    lengths = l1_length(core, d) + (n - sizes) * log_shell_volume(d, r_out, radii) \
         + math.log(max(n, 2))
     best = int(np.argmin(lengths))
     return lengths[best], (np.sort(order[:sizes[best]]), np.sort(order[sizes[best]:]))
@@ -438,7 +440,7 @@ class TestCoreRadii:
             else:
                 points = rng.normal(size=(n, d))
             points = points * 10.0 ** rng.integers(-6, 7) + rng.choice([0.0, 1e3, -1e6])
-            if ball_of(points).radius > RADIUS_FLOOR:
+            if ball_radius(points, ball_of(points).center) > RADIUS_FLOOR:
                 self.check(points, n_min=int(rng.integers(1, n)))
 
 
@@ -462,6 +464,21 @@ class TestEvaluateBall:
         verdict, parts = evaluate_ball(ball_of(pts), pts, n_min=2)
         assert verdict.choice is ModelChoice.SINGLE_BALL and parts is None
         assert verdict.l2_star == math.inf and verdict.l3_star == math.inf
+
+    def test_members_and_stats_suffice(self):
+        rng = np.random.default_rng(41)
+        for kind in SCAN_KINDS:
+            n = int(rng.integers(5, 80))
+            values, ball = scan_ball(rng, n, int(rng.integers(1, 5)), kind)
+            bare = GranularBall(members=ball.members, stats=stats_from_points(values[ball.members]))
+            n_min = int(rng.integers(2, max(3, n // 3)))
+            (want, want_parts), (got, got_parts) = (evaluate_ball(b, values, n_min)
+                                                    for b in (ball, bare))
+            assert (got.choice, got.l1, got.l2_star, got.l3_star, got.peel_q) \
+                == (want.choice, want.l1, want.l2_star, want.l3_star, want.peel_q)
+            assert (got_parts is None) == (want_parts is None)
+            if want_parts is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(got_parts, want_parts))
 
     def test_choice_is_argmin(self):
         rng = np.random.default_rng(99)

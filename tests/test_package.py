@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -37,6 +38,14 @@ def test_readme_library_examples_run(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert '"summary"' in out
     assert 0.0 < float(out.splitlines()[-1]) <= 1.0   # the ARI of K=3 clusters on two blobs
+
+
+def test_readme_code_names_resolve():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"`gbmdl\.(\w+)\.(\w+)`", readme)
+    assert len(names) >= 5
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"gbmdl.{module}"), name), f"gbmdl.{module}.{name}"
 
 
 def test_scoring_and_both_backends_load_no_scipy():
