@@ -106,38 +106,83 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
     "none" for unlabeled data; label values become integer ids in order of
     first appearance. Blank and whitespace-only lines are skipped and not
     counted; parse failures and non-finite values name the offending 1-based
-    row and column. Rows are parsed one at a time into a float64 buffer, so
-    memory stays O(n·d).
+    row and column.
+
+    A regular table, with or without a header, is read in one pass by numpy's
+    C parser into a structured array: one float64 field per feature and one
+    object field for the label, so memory is that array plus one str per
+    label, O(n·d). A table that reader rejects (ragged rows, non-numeric or
+    empty cells, whitespace-only lines, number spellings only Python's float
+    accepts, such as ``1_000``) is parsed again from the start by the csv row
+    parser, which fills one float64 buffer row by row. So every parse error,
+    with its row and column, comes from the row parser; both readers share
+    its header detection, label lookup and finiteness check.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = (row for row in csv.reader(fh) if len(row) > 1 or "".join(row).strip())
-            return _parse_rows(rows, path, label_column)
+            try:
+                return _read_table(fh, path, label_column)
+            except ValueError:
+                fh.seek(0)
+                return _parse_rows(fh, path, label_column)
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Dataset:
-    first = next(rows, None)
+def _data_rows(reader: Iterator[list[str]]) -> Iterator[list[str]]:
+    # blank and whitespace-only lines are neither rows nor counted
+    return (row for row in reader if len(row) > 1 or "".join(row).strip())
+
+
+def _layout(first: list[str] | None, second: list[str] | None, path: str,
+            label_column: str) -> tuple[list[list[str]], int, int | None]:
+    """The data rows among the first two rows, the 1-based row number of the
+    first of them (2 after a header), and the label column index."""
     if first is None:
         raise CsvParseError(f"{path} contains no data rows")
-    second = next(rows, None)
     if second is None and not any(map(_is_number, first)):
         raise CsvParseError(f"{path} has a header row but no data rows")
     if _is_header(first, second):
         header, offset, head = [cell.strip() for cell in first], 2, [second]
     else:
         header, offset, head = None, 1, [first] if second is None else [first, second]
-
     width = len(head[0])
     label_idx = _resolve_label_column(label_column, header, width)
-    d = width - (label_idx is not None)
-    if d == 0:
+    if width - (label_idx is not None) == 0:
         raise CsvParseError(f"row {offset}: no feature columns remain")
+    return head, offset, label_idx
 
-    def column(c: int) -> int:   # 1-based file column of feature c, counting the label column
-        return c + 1 + (label_idx is not None and c >= label_idx)
 
+def _file_column(c: int, label_idx: int | None) -> int:
+    # the 1-based file column of feature c, counting the label column
+    return c + 1 + (label_idx is not None and c >= label_idx)
+
+
+def _read_table(fh: io.TextIOBase, path: str, label_column: str) -> Dataset:
+    """numpy's reader over the whole file; it raises ValueError on an irregular table."""
+    reader = csv.reader(fh)
+    rows = _data_rows(reader)
+    first = next(rows, None)
+    header_lines = reader.line_num    # physical lines up to the end of the first row
+    head, offset, label_idx = _layout(first, next(rows, None), path, label_column)
+    fields = [(str(c), object if c == label_idx else np.float64) for c in range(len(head[0]))]
+    fh.seek(0)
+    table = np.loadtxt(fh, np.dtype(fields), delimiter=",", quotechar='"', comments=None,
+                       skiprows=header_lines if offset == 2 else 0, ndmin=1)
+    values = np.stack([table[name] for name, kind in fields if kind is np.float64], axis=1)
+    labels = None
+    if label_idx is not None:
+        label_ids: dict[str, int] = {}
+        labels = np.fromiter((label_ids.setdefault(label.strip(), len(label_ids))
+                              for label in table[str(label_idx)]), np.int64, len(table))
+    return _dataset(values, labels, offset, label_idx)
+
+
+def _parse_rows(fh: io.TextIOBase, path: str, label_column: str) -> Dataset:
+    """The csv row parser: the reference reader, and the one that names every fault."""
+    rows = _data_rows(csv.reader(fh))
+    head, offset, label_idx = _layout(next(rows, None), next(rows, None), path, label_column)
+    width = len(head[0])
     features = array.array("d")
     labels = array.array("q")
     label_ids: dict[str, int] = {}
@@ -150,17 +195,22 @@ def _parse_rows(rows: Iterator[list[str]], path: str, label_column: str) -> Data
             features.extend(map(float, row))
         except ValueError:
             c = next(c for c, cell in enumerate(row) if not _is_number(cell))
-            raise CsvParseError(f"row {r}, column {column(c)}: "
+            raise CsvParseError(f"row {r}, column {_file_column(c, label_idx)}: "
                                 f"non-numeric feature value {row[c].strip()!r}") from None
 
-    values = np.frombuffer(features, dtype=np.float64).reshape(-1, d)
+    values = np.frombuffer(features, dtype=np.float64).reshape(-1, width - (label_idx is not None))
+    return _dataset(values, None if label_idx is None else np.frombuffer(labels, dtype=np.int64),
+                    offset, label_idx)
+
+
+def _dataset(values: np.ndarray, labels: np.ndarray | None, offset: int,
+             label_idx: int | None) -> Dataset:
     finite = np.isfinite(values)
     if not finite.all():
         i, c = np.argwhere(~finite)[0]
-        raise DataQualityError(f"row {i + offset}, column {column(c)}: "
+        raise DataQualityError(f"row {i + offset}, column {_file_column(c, label_idx)}: "
                                f"non-finite feature value {values[i, c]}")
-    return Dataset(values=values,
-                   labels=None if label_idx is None else np.frombuffer(labels, dtype=np.int64))
+    return Dataset(values=values, labels=labels)
 
 
 def run_pipeline(config: RunConfig) -> dict:

@@ -1,15 +1,20 @@
+import csv
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbmdl import cli
 from gbmdl.cli import RunConfig, _build_parser, load_csv, main, render, run_pipeline
-from gbmdl.errors import ConfigurationError, CsvParseError, DataQualityError
+from gbmdl.errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 
 
 def write(path, text):
@@ -120,6 +125,102 @@ class TestLoadCsv:
             load_csv(str(tmp_path / "missing.csv"))
 
 
+def row_parser(path, label_column):
+    # the csv row parser alone, as load_csv falls back to it
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return cli._parse_rows(fh, path, label_column)
+
+
+def outcome(read, path, label_column):
+    try:
+        ds = read(path, label_column)
+    except GbmdlError as exc:
+        return type(exc), str(exc)
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tolist())
+    return ds.values.dtype, ds.values.shape, ds.values.tobytes(), labels
+
+
+# numpy's reader accepts all of these spellings, with the values float() gives
+NUMBERS = ["{!r}", "{:.6f}", "{:.3e}", " {!r} ", "\u2003{!r}", '"{!r}"', '" {:.2f}"']
+# float() accepts the first two and numpy's reader neither; the rest are
+# non-finite or non-numeric to both
+QUIRKS = ["1_000", "\u0661\u0662", "nan", "-inf", "1e400", "abc", "", '"1,5"', "0x1p3",
+          '"2"x']
+# several spellings of one label: csv strips the quotes, the label is stripped
+LABELS = ["a", " a", '"a"', '" a "', "b", '"b,c"', '"b""c"', 'b"c', '""', "1", '"1"']
+
+
+@st.composite
+def quirky_csvs(draw):
+    n, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    position = draw(st.sampled_from(["first", "middle", "last", "none"]))
+    label_idx = {"first": 0, "middle": width // 2, "last": width - 1, "none": None}[position]
+    spellings = draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=3))
+    rows = [[draw(st.sampled_from(LABELS)) if c == label_idx else
+             draw(st.sampled_from(spellings)).format(draw(st.floats(-1e6, 1e6)))
+             for c in range(width)] for _ in range(n)]
+    for r, c, cell in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, width - 1),
+                                              st.sampled_from(QUIRKS)), max_size=2)):
+        rows[r][c] = cell
+    if draw(st.integers(0, 9)) == 0:                           # a ragged row
+        r = draw(st.integers(0, n - 1))
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else [*rows[r], "0"]
+    header = draw(st.booleans())
+    if header:
+        # a header of numbers above a text label reads as a data row to numpy
+        rows.insert(0, [draw(st.sampled_from([f"x{c}", f'"x,{c}"', f"{c}"]))
+                        for c in range(width)])
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):                   # blank lines anywhere
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "  "])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    label_column = "none" if label_idx is None else str(label_idx)
+    if header and label_idx is not None and draw(st.booleans()):
+        label_column = next(csv.reader([rows[0][label_idx]]))[0]
+    elif position == "last" and draw(st.booleans()):
+        label_column = "last"
+    return text, label_column
+
+
+class TestReaders:
+    """numpy's reader takes every regular table; the row parser is its reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(quirky_csvs())
+    def test_load_csv_matches_the_row_parser(self, case):
+        # equal bits, dtype and labels, or the same error with the same message
+        text, label_column = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "quirky.csv")
+            Path(path).write_bytes(text.encode("utf-8"))
+            assert (outcome(load_csv, path, label_column)
+                    == outcome(row_parser, path, label_column))
+
+    @pytest.mark.parametrize("text, label_column", [
+        ("x,y,label\n1,2,a\n3,4,b\n", "last"),
+        ("1,2,a\n3,4,b\n", "last"),
+        ("\ufeff\n\nx,label,y\r\n 1 ,\" a\",2\r\n\r\n3,\"a,b\",\"4\"\r\n", "label"),
+        ('1,"b""c",2\r3,a,4\r', "1"),
+        ("1,2\n3,4", "none"),
+        ("nan,0\n1e400,1\n", "last"),
+        # numpy would take this header for a data row, so it skips the blank line too
+        ("\n0,kind\n1,2\n", "last"),
+    ], ids=["header", "headerless", "quoted-crlf", "cr-only", "unlabelled", "non-finite",
+            "numeric-header"])
+    def test_regular_tables_skip_the_row_parser(self, tmp_path, monkeypatch, text, label_column):
+        path = tmp_path / "regular.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(row_parser, str(path), label_column)
+        monkeypatch.setattr(cli, "_parse_rows", None)
+        assert outcome(load_csv, str(path), label_column) == expected
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -141,6 +242,27 @@ class TestRunPipeline:
         counts = report["generation"]["verdict_counts"]
         assert set(counts) == {"M1", "M2", "M3"}
         assert counts["M1"] == report["generation"]["balls"]
+
+    @pytest.mark.parametrize("dataset", ["iris_path", "wine_path"])
+    def test_feature_order_is_harmless(self, request, tmp_path, dataset):
+        # ten seeded column permutations give the same balls, verdicts and scores
+        source = request.getfixturevalue(dataset)
+        with open(source, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        d = len(rows[0]) - 1
+
+        def decisions(path):
+            report = run_pipeline(RunConfig(input=path, backend="ac", k="auto",
+                                            omit_timings=True))
+            return report["generation"], report["summary"]
+
+        expected = decisions(source)
+        for seed in range(10):
+            order = [*np.random.default_rng(seed).permutation(d).tolist(), d]
+            path = tmp_path / f"permuted-{seed}.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([row[c] for c in order] for row in rows)
+            assert decisions(str(path)) == expected, order
 
     def test_k_auto_without_labels_rejected(self, tmp_path):
         path = write(tmp_path / "u.csv", "0.1,0.2\n0.3,0.4\n0.5,0.6\n0.9,0.8\n")
