@@ -9,7 +9,7 @@ import numpy as np
 from .core import GranularBall
 from .errors import ConfigurationError
 
-BACKENDS = ("ac", "kmeanspp", "none")
+BACKENDS = ("ac", "kmeanspp")
 KMEANS_RESTARTS = 10     # seeded k-means++ attempts per call; the lowest SSE wins
 KMEANS_MAX_ITER = 300    # Lloyd iterations per attempt
 
@@ -76,6 +76,7 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
 
         for r in np.flatnonzero(alive & ((nn_col == a) | (nn_col == b))):
             rescan(int(r))                   # includes row a, whose cache pointed at b
+        # exact arithmetic never needs this, but a rounded merged mean can undercut lower caches
         lower = np.flatnonzero(alive[:a])
         to_a = cost(a, lower)
         better = (to_a < nn_cost[lower]) | ((to_a == nn_cost[lower]) & (a < nn_col[lower]))
@@ -171,9 +172,7 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
     """Cluster ball centers into K clusters, or pass balls through directly.
 
     When the ball count does not exceed K each ball is its own cluster and no
-    backend runs at all. Otherwise the centers go to the chosen backend;
-    backend "none" refuses in that case since the balls cannot be reported
-    as clusters directly.
+    backend runs at all. Otherwise the centers go to the chosen backend.
     """
     count = len(stable_balls)
     if count < 1:
@@ -186,9 +185,6 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
     if count <= K:
         return BallClustering(ball_labels=np.arange(count, dtype=np.int64))
 
-    if backend == "none":
-        raise ConfigurationError(
-            f"{count} stable balls exceed K={K}; pick a backend (ac or kmeanspp)")
     centers = np.stack([b.center for b in stable_balls])
     if backend == "ac":
         labels = agglomerative_ward(centers, K)

@@ -116,7 +116,9 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
     accepts, such as ``1_000``) is parsed again from the start by the csv row
     parser, which fills one float64 buffer row by row. So every parse error,
     with its row and column, comes from the row parser; both readers share
-    its header detection, label lookup and finiteness check.
+    its header detection, label lookup and finiteness check. A cell over the
+    csv module's field limit fails with CsvParseError on the first two rows or
+    in a table numpy's reader rejects, and loads elsewhere in a regular table.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -125,7 +127,7 @@ def load_csv(path: str, label_column: str = "last") -> Dataset:
             except ValueError:
                 fh.seek(0)
                 return _parse_rows(fh, path, label_column)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from None
 
 

@@ -17,13 +17,28 @@ def co_labeled(labels, i, j) -> bool:
     return labels[i] == labels[j]
 
 
+def ulp_spaced(seed: int) -> np.ndarray:
+    # 4-19 centres in 1-3 dimensions, a few ulps apart around one base in [0.5, 1)
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.5, 1.0)
+    top = int(rng.integers(2, 12))
+    shape = (int(rng.integers(4, 20)), int(rng.integers(1, 4)))
+    return base + np.spacing(base) * rng.integers(0, top, size=shape)
+
+
 class TestClusterOrPassthrough:
     def test_passthrough_when_few_balls(self):
         values = np.array([[0.1], [0.5], [0.9]])
         clustering = cluster_or_passthrough(balls_from_rows(values), K=5, backend="ac")
         assert clustering.ball_labels.tolist() == [0, 1, 2]
 
-    def test_equal_count_passthrough_both_backends(self):
+    def test_equal_count_passthrough_both_backends(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a backend ran")
+
+        # each ball is its own cluster, and no backend runs
+        monkeypatch.setattr(backends, "agglomerative_ward", refuse)
+        monkeypatch.setattr(backends, "kmeanspp", refuse)
         rng = np.random.default_rng(12)
         values = rng.random((10, 2))
         for backend in ("ac", "kmeanspp"):
@@ -43,16 +58,12 @@ class TestClusterOrPassthrough:
                        for i in range(4) for j in range(4))
 
     def test_unknown_backend_rejected(self):
-        values = np.random.default_rng(0).random((4, 2))
-        with pytest.raises(ConfigurationError):
-            cluster_or_passthrough(balls_from_rows(values), K=2, backend="dbscan")
-
-    def test_backend_none_requires_passthrough(self):
-        values = np.random.default_rng(1).random((6, 2))
-        balls = balls_from_rows(values)
-        assert cluster_or_passthrough(balls, K=6, backend="none").ball_labels.size == 6
-        with pytest.raises(ConfigurationError):
-            cluster_or_passthrough(balls, K=2, backend="none")
+        balls = balls_from_rows(np.random.default_rng(0).random((4, 2)))
+        # also where the balls would pass through (K = 4)
+        for backend in ("dbscan", "none"):
+            for K in (2, 4):
+                with pytest.raises(ConfigurationError, match="unknown backend"):
+                    cluster_or_passthrough(balls, K=K, backend=backend)
 
     def test_no_balls_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -83,6 +94,12 @@ class TestWard:
             line,                                              # tie-heavy inputs
             np.vstack([line, line[[3, 8]]]),
             grid[np.random.default_rng(16).permutation(16)],
+            # ulp-spaced centres: a rounded merged mean can price a lower row below
+            # its cached minimum, and only Ward's lower-row repricing sees it (at
+            # K = 2 here, {0, 1, 2, 4, 5} | {3}; without the step, {0, 3, 5} | {1, 2, 4})
+            0.75 + 2.0 ** -53 * np.array([3, 2, 2, 4, 2, 3])[:, None],
+            # seeds on which the step changes the merge sequence
+            *(ulp_spaced(seed) for seed in (59, 147, 186)),
         ]
         for centers in inputs:
             k = len(centers)

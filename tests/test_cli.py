@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmdl import cli
+from gbmdl import backends, cli
 from gbmdl.cli import RunConfig, _build_parser, load_csv, main, render, run_pipeline
 from gbmdl.errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 
@@ -124,6 +124,27 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError):
             load_csv(str(tmp_path / "missing.csv"))
 
+    @pytest.mark.parametrize("rows", [
+        ["1.0,{label}", "2.0,b", "3.0,a"],
+        # a ragged row sends the table to the row parser, which reads row 3
+        ["1.0,a", "2.0,b", "3.0,{label}", "4.0"],
+    ], ids=["row-1", "row-3-irregular"])
+    def test_oversized_cell_is_a_parse_error(self, tmp_path, capsys, rows):
+        # longer than the csv module's default field limit of 131,072 characters
+        text = "\n".join(rows).format(label="x" * 200_000) + "\n"
+        path = write(tmp_path / "wide.csv", text)
+        with pytest.raises(CsvParseError, match="field larger than field limit"):
+            load_csv(path)
+        assert main(["--input", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_oversized_cell_below_row_2_of_a_regular_table_loads(self, tmp_path):
+        # numpy's reader has no field limit, and csv reads only the first two rows
+        label = "x" * 200_000
+        path = write(tmp_path / "wide.csv", f"1.0,a\n2.0,b\n3.0,{label}\n")
+        assert load_csv(path).labels.tolist() == [0, 1, 2]
+
 
 def row_parser(path, label_column):
     # the csv row parser alone, as load_csv falls back to it
@@ -225,8 +246,9 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RunConfig(input="x", runs=0)
-        with pytest.raises(ConfigurationError):
-            RunConfig(input="x", backend="spectral")
+        for backend in ("spectral", "none"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                RunConfig(input="x", backend=backend)
         with pytest.raises(ConfigurationError):
             RunConfig(input="x", k="three")
         with pytest.raises(ConfigurationError):
@@ -321,14 +343,20 @@ class TestRunPipeline:
         assert lines[0] == ("input,n,d,classes,backend,k,runs,balls,residual_background,"
                             "ari_mean,ari_std,acc_mean,acc_std,nmi_mean,nmi_std")
 
-    def test_backend_none_passthrough_when_balls_fit(self, blob_csv):
-        # enough clusters that the stable balls pass through as-is
-        report = run_pipeline(RunConfig(input=blob_csv, backend="none", k="60"))
-        assert report["summary"]["ari_mean"] is not None
+    def test_passthrough_when_balls_fit_runs_no_backend(self, blob_csv, monkeypatch):
+        # enough clusters that the stable balls pass through as-is, for either backend
+        def refuse(*args, **kwargs):
+            raise AssertionError("a backend ran")
 
-    def test_backend_none_rejected_when_balls_exceed_k(self, blob_csv):
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_pipeline(RunConfig(input=blob_csv, backend="none", k="2"))
+        monkeypatch.setattr(backends, "agglomerative_ward", refuse)
+        monkeypatch.setattr(backends, "kmeanspp", refuse)
+        reports = []
+        for backend in ("ac", "kmeanspp"):
+            reports.append(run_pipeline(RunConfig(input=blob_csv, backend=backend, k="60",
+                                                  omit_timings=True)))
+            assert reports[-1]["summary"]["ari_mean"] is not None
+            del reports[-1]["config"]["backend"]
+        assert reports[0] == reports[1]
 
 
 class TestCommandLine:
@@ -357,8 +385,10 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_bad_backend_exits_with_error(self, blob_csv):
-        proc = self.cli("--input", blob_csv, "--backend", "dbscan")
-        assert proc.returncode != 0
+        for backend in ("dbscan", "none"):
+            proc = self.cli("--input", blob_csv, "--backend", backend)
+            assert proc.returncode == 2
+            assert f"invalid choice: '{backend}'" in proc.stderr
 
     def test_missing_input_reports_parse_error(self, tmp_path):
         proc = self.cli("--input", str(tmp_path / "nothing.csv"))
@@ -425,7 +455,13 @@ class TestCommandLine:
         # the README paragraph that starts with "Flags:" names each option once, in parser order
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         paragraph = next(p for p in readme.split("\n\n") if p.startswith("Flags:"))
-        documented = [flag.split()[0] for flag in re.findall(r"`([^`]+)`", paragraph)]
-        options = [s for action in _build_parser()._actions for s in action.option_strings
+        flags = [flag.split() for flag in re.findall(r"`([^`]+)`", paragraph)]
+        actions = _build_parser()._actions
+        options = [s for action in actions for s in action.option_strings
                    if s not in ("-h", "--help")]
-        assert documented == options
+        assert [flag[0] for flag in flags] == options
+        # where the parser has choices, the documented a|b list is exactly those
+        values = {flag[0]: flag[-1] for flag in flags}
+        for action in actions:
+            if action.choices is not None:
+                assert values[action.option_strings[0]].split("|") == list(action.choices)

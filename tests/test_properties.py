@@ -76,8 +76,6 @@ def test_pipeline_total_and_deterministic(case):
         == [ball.members.tolist() for ball in b.stable_balls]
 
     for backend in BACKENDS:
-        if backend == "none" and len(a.stable_balls) > K:
-            continue                    # passthrough refuses more balls than clusters
         ball_labels = cluster_or_passthrough(list(a.stable_balls), K, backend).ball_labels
         assert ball_labels.shape == (len(a.stable_balls),)
         assert 0 <= ball_labels.min() and ball_labels.max() < K
