@@ -2,7 +2,7 @@
 
 The command line runs: load CSV -> normalize -> generate balls -> cluster the
 ball centers (once per seeded run) -> propagate labels -> score against the
-ground truth, and writes a machine-readable JSON (or CSV summary) report.
+ground truth, and writes a machine-readable JSON report.
 Ground-truth labels are consumed by the metrics only; no clustering stage
 sees them.
 """
@@ -42,9 +42,8 @@ class RunConfig:
     k: str = "auto"                 # "auto" resolves to the distinct label count
     runs: int = 1
     seed: int = 0
-    format: str = "json"
-    omit_timings: bool = False
     output: str | None = None
+    omit_timings: bool = False
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -52,8 +51,6 @@ class RunConfig:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        if self.format not in ("json", "csv"):
-            raise ConfigurationError("format must be json or csv")
         if self.k != "auto":
             try:
                 k = int(self.k)
@@ -285,25 +282,8 @@ def run_pipeline(config: RunConfig) -> dict:
 
 
 def render(report: dict) -> str:
-    """The report as indented JSON, or as a one-row summary CSV for format csv."""
-    if report["config"]["format"] == "json":
-        return json.dumps(report, indent=2) + "\n"
-    config, dataset, generation = report["config"], report["dataset"], report["generation"]
-    row = {
-        "input": config["input"],
-        "n": dataset["n"],
-        "d": dataset["d"],
-        "classes": dataset["classes"],
-        "backend": config["backend"],
-        "k": config["k"],
-        "runs": config["runs"],
-        "balls": generation["balls"],
-        "residual_background": generation["residual_background"],
-        **report["summary"],
-    }
-    buf = io.StringIO()
-    csv.writer(buf).writerows([row.keys(), row.values()])
-    return buf.getvalue()
+    """The report as the indented JSON text the CLI writes."""
+    return json.dumps(report, indent=2) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--runs", type=int, help="number of seeded backend repetitions")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--output", help="write the report here")
-    parser.add_argument("--format", choices=["json", "csv"])
     parser.add_argument("--omit-timings", action="store_true",
                         help="write null timings for byte-reproducible reports")
     return parser

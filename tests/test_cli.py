@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -253,6 +254,19 @@ class TestRunConfig:
             RunConfig(input="x", k="three")
         with pytest.raises(ConfigurationError):
             RunConfig(input="x", k="0")
+        # the report is JSON alone; there is no format setting to pick another
+        with pytest.raises(TypeError):
+            RunConfig(input="x", format="csv")
+
+    def test_one_name_per_setting(self, blob_csv):
+        # each field is one option's dest, in parser order, and the report's
+        # config section is every field but output, so no field outlives its flag
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        dests = [action.dest for action in _build_parser()._actions
+                 if action.option_strings and action.dest != "help"]
+        assert fields == dests
+        report = run_pipeline(RunConfig(input=blob_csv))
+        assert list(report["config"]) == [name for name in fields if name != "output"]
 
 
 class TestRunPipeline:
@@ -316,7 +330,7 @@ class TestRunPipeline:
         data = json.loads(render(report))
         assert list(data) == ["config", "dataset", "generation", "runs", "summary"]
         assert list(data["config"]) == ["input", "label_col", "backend", "k", "runs",
-                                        "seed", "format", "omit_timings"]
+                                        "seed", "omit_timings"]
         assert list(data["dataset"]) == ["n", "d", "classes"]
         assert list(data["generation"]) == ["balls", "residual_background",
                                             "verdict_counts", "seconds"]
@@ -335,13 +349,6 @@ class TestRunPipeline:
         b = render(run_pipeline(config))
         assert a == b
         assert json.loads(a)["generation"]["seconds"] is None
-
-    def test_csv_summary_row(self, blob_csv):
-        report = run_pipeline(RunConfig(input=blob_csv, format="csv"))
-        lines = render(report).strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == ("input,n,d,classes,backend,k,runs,balls,residual_background,"
-                            "ari_mean,ari_std,acc_mean,acc_std,nmi_mean,nmi_std")
 
     def test_passthrough_when_balls_fit_runs_no_backend(self, blob_csv, monkeypatch):
         # enough clusters that the stable balls pass through as-is, for either backend
@@ -383,6 +390,21 @@ class TestCommandLine:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_unlabeled_output_summary_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        rows = [f"{rng.random():.4f},{rng.random():.4f}" for _ in range(60)]
+        path = write(tmp_path / "u.csv", "\n".join(rows) + "\n")
+        out = str(tmp_path / "report.json")
+        assert main(["--input", path, "--label-col", "none", "--k", "3", "--output", out]) == 0
+        balls = json.loads(Path(out).read_text())["generation"]["balls"]
+        assert capsys.readouterr().out == f"{path}: balls={balls} (no labels) -> {out}\n"
+
+    def test_format_flag_rejected(self, blob_csv):
+        for value in ("csv", "json"):
+            proc = self.cli("--input", blob_csv, "--format", value)
+            assert proc.returncode == 2
+            assert "unrecognized arguments: --format" in proc.stderr
 
     def test_bad_backend_exits_with_error(self, blob_csv):
         for backend in ("dbscan", "none"):
