@@ -182,9 +182,9 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     Only the residual sizes that can win are measured. A core's radius is at
     most its farthest point's distance to the ball center plus its mean's
     distance to that center, and a larger radius only thins the shell, so
-    that bound prices every q from below in O(n_B·d). The q with the lowest
-    bound is measured exactly, then every q whose bound does not exceed that
-    length; the first minimum among them is the full scan's, bit for bit.
+    that bound prices every q from below in O(n_B·d). The q are measured
+    exactly in ascending bound order until the next bound exceeds the best
+    length, so the first minimum is the full scan's, bit for bit.
     """
     n_b = ball.size
     if n_b <= n_min:
@@ -207,15 +207,15 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     def lengths(j, radii: float | np.ndarray) -> float | np.ndarray:
         return l1[j] + q[j] * log_shell_volume(d, 2.0 * r_b, radii) + log_n
 
-    def exact(j: int) -> float:   # each core radius is measured about that core's own mean
-        return lengths(j, ball_radius(sorted_pts[:sizes[j]], means[j]))
-
     low = lengths(slice(None), core_radius_bounds(sorted_dist, sizes, means, ball.center))
-    j0 = int(np.argmin(low))
-    l0 = exact(j0)
-    # first minimum of (length, j) = smallest q among the cheapest
-    best, j = min((l0 if j == j0 else exact(j), j) for j in np.flatnonzero(low <= l0))
-    return float(best), _halves(sorted_members, int(sizes[j]))
+    best = (math.inf, 0)   # first minimum of (length, j) = smallest q among the cheapest
+    for _ in q:   # best-first; each core radius is measured about that core's own mean
+        j = int(np.argmin(low))
+        if low[j] > best[0]:   # every q left is bounded above the best length
+            break
+        best = min(best, (lengths(j, ball_radius(sorted_pts[:sizes[j]], means[j])), j))
+        low[j] = math.inf
+    return float(best[0]), _halves(sorted_members, int(sizes[best[1]]))
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray,

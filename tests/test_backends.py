@@ -69,8 +69,17 @@ class TestClusterOrPassthrough:
         with pytest.raises(ConfigurationError):
             cluster_or_passthrough([], K=2, backend="ac")
 
+    def test_zero_clusters_rejected(self):
+        balls = balls_from_rows(np.array([[0.1], [0.5], [0.9]]))
+        with pytest.raises(ConfigurationError, match=r"^K must be at least 1$"):
+            cluster_or_passthrough(balls, K=0, backend="ac")
+
 
 class TestWard:
+    def test_more_clusters_than_centers_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^cannot form 3 clusters from 2 centers$"):
+            agglomerative_ward(np.array([[0.0], [1.0]]), 3)
+
     def test_closest_pair_merges_first(self):
         centers = np.array([[0.0], [0.1], [1.0]])
         labels = agglomerative_ward(centers, 2)
@@ -162,6 +171,10 @@ class TestWard:
 
 
 class TestKMeansPP:
+    def test_more_clusters_than_centers_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^cannot form 3 clusters from 2 centers$"):
+            kmeanspp(np.array([[0.0], [1.0]]), 3, seed=0)
+
     def test_k_equals_count_zero_sse(self):
         centers = np.random.default_rng(4).random((6, 2))
         labels = kmeanspp(centers, 6, seed=0)

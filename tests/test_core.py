@@ -41,6 +41,10 @@ class TestDataset:
         with pytest.raises(DataQualityError):
             Dataset(values=np.empty((0, 3)))
 
+    def test_rejects_three_dim_input(self):
+        with pytest.raises(DataQualityError, match=r"^expected a 2-D sample matrix, got ndim=3$"):
+            Dataset(values=np.zeros((2, 2, 2)))
+
 
 class TestBallCenter:
     def test_two_point_midpoint(self):

@@ -278,6 +278,10 @@ class TestReassignResiduals:
 
 
 class TestAssignSamples:
+    def test_no_balls_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least one stable ball$"):
+            assign_samples(Dataset(values=np.array([[0.1], [0.5]])), [])
+
     def test_single_ball_owns_everything(self):
         values = np.array([[0.1], [0.5], [0.9]])
         ball = GranularBall.from_members(values, np.arange(3))

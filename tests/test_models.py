@@ -159,6 +159,11 @@ class TestFirstPrincipalDirection:
     def test_degenerate_when_identical(self):
         assert first_principal_direction(np.full((5, 3), 0.2)) is None
 
+    def test_one_point_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^need at least two points for a principal direction$"):
+            first_principal_direction(np.array([[0.3, 0.7]]))
+
     def test_sign_convention(self):
         pts = np.stack([np.linspace(0, 1, 11), -np.linspace(0, 1, 11)], axis=1)
         got = first_principal_direction(pts)
@@ -342,6 +347,8 @@ def peel_test_balls():
         "collinear": np.outer(np.arange(300) / 299.0, [0.6, -0.3, 0.2]) + 0.1,
         # without its slack the rounded bound falls below the rounded exact radius here
         "scaled-lattice-1d": scaled.integers(0, 20, size=(110, 1)) / 7.0 * scaled.random(),
+        # a core of one repeated row far from the center is bounded at 2ρ but measures 0
+        "two-rows": np.repeat(np.eye(2, 8), 500, axis=0),
     }
 
 
@@ -412,8 +419,9 @@ class TestL3BestPeel:
             assert np.array_equal(core, want_core) and np.array_equal(residual, want_residual)
             assert 1 <= len(measured) <= len(points) - n_min
             survivors.append(len(measured))
-        # the 1-d balls are where the bound is tight: many q must be measured there
-        assert max(survivors) > {"lattice-1d": 100, "even-1d": 10, "collinear": 1}.get(name, 0)
+        # best-first counts at n_min = 2 and len // 4; most balls measure one q
+        assert survivors == {"collinear": [5, 5], "even-1d": [15, 15], "lattice-1d": [1, 5],
+                             "two-rows": [499, 251]}.get(name, [1, 1])
 
 
 class TestCoreRadii:
