@@ -22,7 +22,6 @@ from .generation import (
     farthest_point_bisect,
     generate,
     generate_stable_balls,
-    initial_ball_count,
     initialize_balls,
     reassign_residuals,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "farthest_point_bisect",
     "generate",
     "generate_stable_balls",
-    "initial_ball_count",
     "initialize_balls",
     "kmeanspp",
     "l1_length",

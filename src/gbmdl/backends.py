@@ -101,7 +101,7 @@ def _lloyd_once(points: np.ndarray, K: int,
             nxt = int(rng.integers(n))
         chosen.append(nxt)
         d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
-    centroids = points[chosen].copy()
+    centroids = points[chosen]
 
     # Reducing over the leading feature axis sums the features in index order
     # (numpy sums a trailing axis pairwise from 8 terms on), and bincount adds

@@ -26,11 +26,11 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x d sample matrix plus optional integer ground-truth labels.
+    """An n x d sample matrix plus optional ground-truth labels, one per sample.
 
-    Labels are carried along for evaluation only; no clustering stage reads
-    them. Values must be finite, and so must each feature's range, which
-    ``minmax_normalize`` divides by to map them onto [0, 1].
+    Labels may be any 1-D values, kept as given; only the scores read them,
+    comparing by equality. Values must be finite, and so must each feature's
+    range, which ``minmax_normalize`` divides by to map them onto [0, 1].
     """
 
     values: np.ndarray
@@ -50,9 +50,9 @@ class Dataset:
             col = int(np.flatnonzero(~np.isfinite(spread))[0])
             raise DataQualityError(f"feature {col} has a range beyond the float64 maximum")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
             if labels.shape != (values.shape[0],):
-                raise DataQualityError("labels must be one integer per sample")
+                raise DataQualityError("labels must be one value per sample")
             object.__setattr__(self, "labels", labels)
 
     @property

@@ -42,11 +42,6 @@ def adaptive_n_min(n: int, d: int) -> int:
     return max(2, math.ceil(raw))
 
 
-def initial_ball_count(n: int) -> int:
-    """Coarse initialization stops once floor(sqrt(n)) balls exist."""
-    return max(1, math.isqrt(n))
-
-
 def farthest_point_bisect(subset_indices: np.ndarray,
                           values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a subset by proximity to two approximately-farthest anchor points.
@@ -98,16 +93,16 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
                                                      list[tuple[int, ModelVerdict]]]:
     """Run the regeneration loop only; no residual attachment, no ownership.
 
-    The minimum ball size and the initial ball count come from the data
-    shape (``adaptive_n_min``, ``initial_ball_count``), so the loop has no
-    parameter. Returns the stable balls, the peeled residual pool, and the
-    decision trace. Useful for inspecting the raw competition outcome;
+    The minimum ball size (``adaptive_n_min``) and the initial ball count
+    floor(sqrt(n)) come from the data shape, so the loop has no parameter.
+    Returns the stable balls, the peeled residual pool, and the decision
+    trace. Useful for inspecting the raw competition outcome;
     ``generate`` wraps this with reassignment and final assignment.
     """
     n_min = adaptive_n_min(dataset.n, dataset.d)
     values = dataset.values
 
-    queue = deque(initialize_balls(dataset, initial_ball_count(dataset.n)))
+    queue = deque(initialize_balls(dataset, math.isqrt(dataset.n)))
     stable: list[GranularBall] = []
     pool: list[int] = []
     trace: list[tuple[int, ModelVerdict]] = []

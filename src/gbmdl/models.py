@@ -86,9 +86,9 @@ def log_shell_volume(d: int, r_out: float,
                      r_core: float | np.ndarray) -> float | np.ndarray:
     """ln of the volume between the core ball and the outer background ball.
 
-    Computed as a + ln(1 - e^(b-a)) with a, b the log ball volumes; an empty
-    core (r_core <= 0) gives a, and degenerate or underflowing shells give the
-    fixed floor ln(1e-300). An array of core radii gives one value per radius.
+    Computed as a + ln(1 - e^(b-a)) with a, b the log ball volumes; a core of
+    coinciding points (r_core <= 0) gives a, and degenerate or underflowing
+    shells give the fixed floor ln(1e-300). Core radii in an array give one value each.
     """
     a = log_ball_volume(d, r_out)
     b = log_ball_volume(d, r_core)
@@ -175,7 +175,7 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     size q the core keeps the nearest n_B - q points; its cost is the
     single-ball length of the core plus q times the log shell volume between
     the core radius (about the core's own mean) and the outer background
-    radius 2 * r_B, plus ln(max(n_B, 2)) to encode q itself. Returns the best
+    radius 2 * r_B, plus ln n_B to encode q itself. Returns the best
     length and the (core, residual) member indices, each ascending, or
     (+inf, None) when n_B <= n_min or r_B <= RADIUS_FLOOR (no residual shell).
 
@@ -202,7 +202,7 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     core = BallStats(sizes, prefix.sum[sizes - 1], prefix.sumsq[sizes - 1])
     means = core.sum / sizes[:, None]
     l1 = l1_length(core, d)
-    log_n = math.log(max(n_b, 2))
+    log_n = math.log(n_b)
 
     def lengths(j, radii: float | np.ndarray) -> float | np.ndarray:
         return l1[j] + q[j] * log_shell_volume(d, 2.0 * r_b, radii) + log_n

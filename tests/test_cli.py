@@ -49,6 +49,7 @@ class TestLoadCsv:
         path = write(tmp_path / "c.csv", "1.0,setosa\n2.0,virginica\n3.0,setosa\n")
         ds = load_csv(path)
         assert ds.labels.tolist() == [0, 1, 0]
+        assert ds.labels.dtype == np.int64   # Dataset keeps labels as given; the reader maps them
 
     def test_non_numeric_feature_names_location(self, tmp_path):
         path = write(tmp_path / "d.csv", "1.0,0\nabc,1\n")

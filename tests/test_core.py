@@ -3,15 +3,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gbmdl.backends import cluster_or_passthrough
 from gbmdl.core import (
     BallStats,
     Dataset,
     GranularBall,
+    minmax_normalize,
     stats_add_point,
     stats_from_points,
     stats_sse,
 )
 from gbmdl.errors import DataQualityError
+from gbmdl.generation import generate
+from gbmdl.metrics import acc, ari, nmi
 from gbmdl.models import ball_radius
 
 from oracles import two_pass_sse
@@ -34,8 +38,24 @@ class TestDataset:
             Dataset(values=np.array([[np.inf, 1.0]]))
 
     def test_rejects_bad_label_length(self):
-        with pytest.raises(DataQualityError):
+        with pytest.raises(DataQualityError, match=r"^labels must be one value per sample$"):
             Dataset(values=np.array([[0.0], [1.0]]), labels=[1])
+
+    @pytest.mark.parametrize("classes", [[0.5, 1.7, 1.2], ["a", "b", "c"]],
+                             ids=["fractional", "strings"])
+    def test_labels_kept_as_given(self, classes):
+        # labels are compared by equality only: a cast to integers would merge 1.7 and 1.2
+        rng = np.random.default_rng(0)
+        values = np.vstack([rng.normal(loc=c, scale=0.02, size=(40, 2))
+                            for c in [(0.2, 0.2), (0.8, 0.8), (0.2, 0.8)]])
+        truth = np.repeat(classes, 40)
+        ds = minmax_normalize(Dataset(values=values, labels=truth))
+        assert np.array_equal(ds.labels, truth) and np.unique(ds.labels).size == 3
+        result = generate(ds)
+        clustering = cluster_or_passthrough(list(result.stable_balls), 3, "ac")
+        predicted = clustering.ball_labels[result.ownership]
+        assert (ari(ds.labels, predicted), acc(ds.labels, predicted),
+                nmi(ds.labels, predicted)) == (1.0, 1.0, 1.0)
 
     def test_rejects_empty(self):
         with pytest.raises(DataQualityError):

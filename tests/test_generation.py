@@ -1,4 +1,6 @@
 import hashlib
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from gbmdl.generation import (
     farthest_point_bisect,
     generate,
     generate_stable_balls,
-    initial_ball_count,
     initialize_balls,
     reassign_residuals,
 )
@@ -41,9 +42,14 @@ class TestAdaptiveNMin:
 
 
 class TestInitialBallCount:
-    @pytest.mark.parametrize("n,expected", [(100, 10), (1, 1), (50, 7)])
-    def test_worked_values(self, n, expected):
-        assert initial_ball_count(n) == expected
+    @pytest.mark.parametrize("n", [1, 50, 100])
+    def test_loop_starts_from_isqrt_n_balls(self, n):
+        # every initial ball is dequeued once, a split enqueues two balls, a peel one
+        ds = Dataset(values=np.random.default_rng(n).random((n, 2)))
+        _, _, trace = generate_stable_balls(ds)
+        choices = Counter(verdict.choice for _, verdict in trace)
+        assert len(trace) == math.isqrt(n) + 2 * choices[ModelChoice.TWO_BALL] \
+            + choices[ModelChoice.CORE_RESIDUAL]
 
 
 class TestFarthestPointBisect:

@@ -380,6 +380,17 @@ class TestL3BestPeel:
         l3_star, cand = l3_best_peel(ball_of(pts), pts, n_min=2)
         assert l3_star == math.inf and cand is None
 
+    def test_coincident_core_costs_the_whole_outer_ball(self):
+        # a core of nine equal points has radius 0; the floored shell formula would
+        # price its shell about 1.4e-12 nats below the outer ball
+        pts = np.array([[0.5]] * 9 + [[0.9]])
+        ball = ball_of(pts)
+        l3_star, (core, residual) = l3_best_peel(ball, pts, n_min=2)
+        assert core.tolist() == list(range(9)) and residual.tolist() == [9]
+        r_b = ball_radius(pts, ball.center)
+        assert l3_star == l1_length(stats_from_points(pts[:9]), 1) \
+            + log_ball_volume(1, 2.0 * r_b) + math.log(10)
+
     def test_matches_bruteforce_on_random_balls(self):
         rng = np.random.default_rng(88)
         for kind in SCAN_KINDS:
