@@ -156,15 +156,9 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     if K < 1 or centers.shape[0] < K:
         raise ConfigurationError(f"cannot form {K} clusters from {centers.shape[0]} centers")
 
-    best_labels = None
-    best_sse = np.inf
-    for r in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r]))
-        labels, sse = _lloyd_once(centers, K, rng)
-        if sse < best_sse:
-            best_sse = sse
-            best_labels = labels
-    return best_labels
+    seeds = (np.random.SeedSequence([seed % 2 ** 63, r]) for r in range(KMEANS_RESTARTS))
+    runs = (_lloyd_once(centers, K, np.random.default_rng(s)) for s in seeds)
+    return min(runs, key=lambda run: run[1])[0]   # min keeps the first of equal SSEs
 
 
 def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,

@@ -28,9 +28,9 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
 class Dataset:
     """An n x d sample matrix plus optional ground-truth labels, one per sample.
 
-    Labels may be any 1-D values, kept as given; only the scores read them,
-    comparing by equality. Values must be finite, and so must each feature's
-    range, which ``minmax_normalize`` divides by to map them onto [0, 1].
+    Labels may be any 1-D values that sort together, kept as given; only the
+    scores read them, comparing by equality. Values must be finite, and so must
+    each feature's range, which ``minmax_normalize`` divides by to map to [0, 1].
     """
 
     values: np.ndarray
@@ -53,6 +53,11 @@ class Dataset:
             labels = np.asarray(self.labels)
             if labels.shape != (values.shape[0],):
                 raise DataQualityError("labels must be one value per sample")
+            if labels.dtype.kind in "OSU":
+                try:
+                    np.unique(np.asarray(self.labels, dtype=object))
+                except TypeError:
+                    raise DataQualityError("labels must be mutually comparable values") from None
             object.__setattr__(self, "labels", labels)
 
     @property

@@ -169,6 +169,9 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values
 def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.ndarray:
     """Map every sample to the stable ball with the nearest center (ties: lowest index).
 
+    Nearest up to the float64 rounding of |x|² − 2x·c + |c|², so centers whose
+    true distances differ by less can be misordered (README, ROADMAP item 3).
+
     Duplicate centers are priced once, at their lowest ball index: BLAS may
     round identical columns of the product differently, which would otherwise
     hand rows to a later copy.

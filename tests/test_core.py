@@ -41,6 +41,14 @@ class TestDataset:
         with pytest.raises(DataQualityError, match=r"^labels must be one value per sample$"):
             Dataset(values=np.array([[0.0], [1.0]]), labels=[1])
 
+    @pytest.mark.parametrize("labels", [[None, 1, 1, 2], [1, "1", 2, 2]],
+                             ids=["none", "int-and-str"])
+    def test_rejects_labels_that_do_not_sort(self, labels):
+        # the scores sort labels: None would fail there with a bare TypeError,
+        # and numpy would merge 1 and "1" into one string class
+        with pytest.raises(DataQualityError, match=r"^labels must be mutually comparable values$"):
+            Dataset(values=np.arange(4.0), labels=labels)
+
     @pytest.mark.parametrize("classes", [[0.5, 1.7, 1.2], ["a", "b", "c"]],
                              ids=["fractional", "strings"])
     def test_labels_kept_as_given(self, classes):

@@ -22,6 +22,16 @@ def test_all_is_exactly_the_public_names():
     assert set(gbmdl.__all__) == public
 
 
+def test_package_root_is_the_readme_library_api():
+    # the root promises what the README documents, so stage internals stay module-level
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    library = re.search(r"^## Library\n(.*?)^## ", readme, flags=re.DOTALL | re.MULTILINE)[1]
+    documented = set(re.findall(r"`(\w+)`", library))
+    assert set(gbmdl.__all__) <= documented, set(gbmdl.__all__) - documented
+    imported = re.search(r"^from gbmdl import (.+)$", library, flags=re.MULTILINE)[1]
+    assert {name.strip() for name in imported.split(",")} <= set(gbmdl.__all__)
+
+
 def test_readme_library_examples_run(monkeypatch, capsys):
     # run from the repo root, so the examples' data/ paths resolve
     monkeypatch.chdir(REPO)
