@@ -86,79 +86,90 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     return np.unique(owner, return_inverse=True)[1]
 
 
-def _lloyd_once(points: np.ndarray, K: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    n, d = points.shape
-
-    # D^2 seeding
-    chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    for _ in range(1, K):
-        total = d2.sum()
-        if total > 0:
-            nxt = int(rng.choice(n, p=d2 / total))
-        else:
-            nxt = int(rng.integers(n))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
-    centroids = points[chosen]
-
-    # Reducing over the leading feature axis sums the features in index order
-    # (numpy sums a trailing axis pairwise from 8 terms on), and bincount adds
-    # each cluster's rows in ascending row order.
-    cols = np.ascontiguousarray(points.T)
-    feature = np.arange(d)
-    seen = set()
-    for _ in range(KMEANS_MAX_ITER):
-        dist2 = ((cols[:, :, None] - centroids.T[:, None, :]) ** 2).sum(axis=0)
-        new_labels = np.argmin(dist2, axis=1)
-
-        counts = np.bincount(new_labels, minlength=K)
-        if (counts == 0).any():
-            own = dist2[np.arange(n), new_labels]
-            for c in np.flatnonzero(counts == 0):
-                # steal only from a cluster that keeps a member
-                p = int(np.argmax(np.where(counts[new_labels] > 1, own, -1.0)))
-                counts[new_labels[p]] -= 1
-                counts[c] = 1
-                new_labels[p] = c
-
-        # the next labels are a function of these alone, so a repeated state
-        # is a fixed point or a cycle
-        state = new_labels.tobytes()
-        if state in seen:
-            break
-        seen.add(state)
-        labels = new_labels
-        sums = np.bincount((labels[:, None] * d + feature).ravel(), weights=points.ravel(),
-                           minlength=K * d)
-        centroids = sums.reshape(K, d) / counts[:, None]
-
-    sse = float(((points - centroids[labels]) ** 2).sum())
-    return labels, sse
-
-
 def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     """K-means with D^2 seeding and Lloyd iterations on the center vectors.
 
-    Runs ``KMEANS_RESTARTS`` independent seeded attempts and keeps the lowest
-    within-cluster SSE (ties: lowest restart index). Empty clusters are
-    repaired by stealing the point farthest from its assigned centroid among
-    clusters that keep a member. Lloyd's assignment step sums squared
-    distances over features in index order (D^2 seeding takes numpy's row sum,
-    unrolled from 8 features on), and each centroid is the sequential sum of
-    its rows divided by its count. Lloyd stops when the new labels equal any
-    earlier label state of the restart (a fixed point or a cycle, such as the
-    repair moving a point to and fro between coinciding centroids), or after
-    ``KMEANS_MAX_ITER`` steps. Same seed, same labels.
+    Runs ``KMEANS_RESTARTS`` attempts side by side as arrays, restart r drawing
+    from SeedSequence([seed % 2**63, r]), and keeps the lowest within-cluster
+    SSE (ties: lowest restart). A D^2 draw inverts the cumulative distribution
+    as ``Generator.choice(n, p=...)`` does. An empty cluster steals the point
+    farthest from its centroid among clusters that keep a member. A restart
+    stops when its labels repeat any earlier labels of its own (a fixed point
+    or a cycle, such as the repair moving a point to and fro between coinciding
+    centroids), or after ``KMEANS_MAX_ITER`` steps. Same seed, same labels.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if K < 1 or centers.shape[0] < K:
-        raise ConfigurationError(f"cannot form {K} clusters from {centers.shape[0]} centers")
+    points = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    n, d = points.shape
+    if K < 1 or n < K:
+        raise ConfigurationError(f"cannot form {K} clusters from {n} centers")
+    R = KMEANS_RESTARTS
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r])) for r in range(R)]
 
-    seeds = (np.random.SeedSequence([seed % 2 ** 63, r]) for r in range(KMEANS_RESTARTS))
-    runs = (_lloyd_once(centers, K, np.random.default_rng(s)) for s in seeds)
-    return min(runs, key=lambda run: run[1])[0]   # min keeps the first of equal SSEs
+    # D^2 seeding takes numpy's row sum, unrolled from 8 features on
+    chosen = np.empty((R, K), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = np.full((R, n), np.inf)
+    for j in range(1, K):
+        d2 = np.minimum(d2, ((points - points[chosen[:, j - 1], None]) ** 2).sum(axis=2))
+        total = d2.sum(axis=1)
+        drawn = total > 0
+        cdf = np.cumsum(d2[drawn] / total[drawn, None], axis=1)
+        cdf /= cdf[:, -1:]
+        rows = iter(cdf)
+        chosen[:, j] = [next(rows).searchsorted(rng.random(), side="right") if draw
+                        else rng.integers(n) for rng, draw in zip(rngs, drawn)]
+
+    # Lloyd on the live restarts: adding one feature at a time sums the features
+    # in index order, and bincount adds each cluster's rows in ascending order.
+    # A stopped restart keeps its last accepted labels and centroids.
+    cols = np.ascontiguousarray(points.T)
+    centroids = points[chosen]
+    labels = np.empty((R, n), dtype=np.intp)
+    dist_buf, scratch = np.empty(R * K * n), np.empty(R * K * n)
+    weights = np.tile(points.ravel(), R)
+    offsets = np.arange(R)[:, None] * K
+    seen: set[tuple[int, bytes]] = set()                 # (restart, labels) states
+    live = np.arange(R)
+    for _ in range(KMEANS_MAX_ITER):
+        A = live.size
+        dist, tmp = (buf[:A * K * n].reshape(A, K, n) for buf in (dist_buf, scratch))
+        live_t = centroids[live].transpose(2, 0, 1)[..., None]      # (d, A, K, 1)
+        np.square(np.subtract(cols[0], live_t[0], out=dist), out=dist)
+        for f in range(1, d):
+            dist += np.square(np.subtract(cols[f], live_t[f], out=tmp), out=tmp)
+        # argmin over a contiguous K axis; its first minimum is the tie rule
+        by_point = tmp.reshape(A, n, K)
+        np.copyto(by_point, dist.transpose(0, 2, 1))
+        new = by_point.argmin(axis=2)
+
+        counts = np.bincount((new + offsets[:A]).ravel(), minlength=A * K).reshape(A, K)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            lab, count = new[a], counts[a]
+            own = dist[a, lab, np.arange(n)]
+            for c in np.flatnonzero(count == 0):
+                # steal only from a cluster that keeps a member
+                p = int(np.argmax(np.where(count[lab] > 1, own, -1.0)))
+                count[lab[p]] -= 1
+                count[c] = 1
+                lab[p] = c
+
+        # the next labels are a function of these alone, so a repeated state
+        # is a fixed point or a cycle
+        states = list(zip(live.tolist(), map(bytes, new.astype(np.min_scalar_type(K - 1)))))
+        keep = np.array([state not in seen for state in states])
+        seen.update(states)
+        live, new, counts = live[keep], new[keep], counts[keep]
+        if not live.size:
+            break
+        labels[live] = new
+        sums = np.bincount(((new + offsets[:live.size])[:, :, None] * d + np.arange(d)).ravel(),
+                           weights=weights[:new.size * d], minlength=counts.size * d)
+        centroids[live] = sums.reshape(-1, K, d) / counts[:, :, None]
+
+    residual = centroids[np.arange(R)[:, None], labels]
+    residual -= points               # its square equals that of points - centroid
+    sse = np.square(residual, out=residual).reshape(R, n * d).sum(axis=1)
+    return labels[int(np.argmin(sse))].copy()   # argmin keeps the first of equal SSEs
 
 
 def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,

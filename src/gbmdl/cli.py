@@ -240,6 +240,7 @@ def run_pipeline(config: RunConfig) -> dict:
         verdicts[verdict.choice.value] += 1
 
     run_rows = []
+    scores_of: dict[bytes, list[float]] = {}   # ari, acc, nmi of each distinct labelling
     for i in range(config.runs):
         run_seed = config.seed + i
         t1 = time.perf_counter()
@@ -250,9 +251,10 @@ def run_pipeline(config: RunConfig) -> dict:
         row = {"seed": run_seed, "ari": None, "acc": None, "nmi": None,
                "seconds": None if config.omit_timings else run_seconds}
         if dataset.labels is not None:
-            row["ari"] = ari(dataset.labels, sample_labels)
-            row["acc"] = acc(dataset.labels, sample_labels)
-            row["nmi"] = nmi(dataset.labels, sample_labels)
+            key = clustering.ball_labels.tobytes()
+            if key not in scores_of:
+                scores_of[key] = [s(dataset.labels, sample_labels) for s in (ari, acc, nmi)]
+            row["ari"], row["acc"], row["nmi"] = scores_of[key]
         run_rows.append(row)
 
     summary = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -134,7 +135,8 @@ class GranularBall:
 
     ``members`` holds original sample indices, kept sorted ascending so that
     iteration order (and therefore floating-point accumulation order) is
-    reproducible across runs. The center follows from the statistics.
+    reproducible across runs. The center follows from the statistics; it is
+    computed on first use and then shared, so callers must not write to it.
     """
 
     members: np.ndarray
@@ -157,7 +159,7 @@ class GranularBall:
     def size(self) -> int:
         return self.stats.count
 
-    @property
+    @cached_property
     def center(self) -> np.ndarray:
         return self.stats.sum / self.stats.count
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbmdl import backends
 from gbmdl.backends import agglomerative_ward, cluster_or_passthrough, kmeanspp
@@ -257,12 +259,42 @@ class TestKMeansPP:
         # fewer distinct rows than K = 8 forces coinciding centroids, so a
         # cluster comes out empty and the repair runs
         duplicates = rng.random((3, d))[rng.integers(0, 3, n)]
+        # all rows equal: every D^2 draw after the first sees a zero total
+        identical = np.repeat(rng.random((1, d)), n, axis=0)
         inputs = {"random": rng.random((n, d)), "lattice": lattice[rng.permutation(n)],
-                  "duplicates": duplicates}
+                  "duplicates": duplicates, "identical": identical}
         for name, centers in inputs.items():
             for seed, K in enumerate((1, 2, 3, 8, n)):
                 labels = kmeanspp(centers, K, seed=seed)
                 assert np.array_equal(labels, kmeanspp_replay(centers, K, seed=seed)), (name, K)
+
+        # at seed 21, restarts 4 and 5 seed centroids at 0, 2 and 10; the one at 2
+        # loses both its points at the second step and is repaired, while the
+        # other eight restarts stop after two steps
+        line = np.zeros((8, d))
+        line[:, 0] = [0.0, 0.99, 0.99, 2.0, 5.9, 6.1, 6.1, 10.0]
+        assert np.array_equal(kmeanspp(line, 3, seed=21), kmeanspp_replay(line, 3, seed=21))
+
+    def test_each_restart_checks_its_own_label_history(self):
+        # three rows repeated plus one stray row at K = 6: every restart cycles
+        # with period 4, and restarts 0, 2 and 6 stop two steps after the other
+        # seven, so they keep iterating after their neighbours have stopped
+        rng = np.random.default_rng(92)
+        centers = np.vstack([rng.random((3, 2))[np.arange(11) % 3], rng.random((1, 2))])
+        assert np.array_equal(kmeanspp(centers, 6, seed=0), kmeanspp_replay(centers, 6, seed=0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_replay_on_drawn_inputs(self, data):
+        n = data.draw(st.integers(1, 14))
+        d = data.draw(st.sampled_from([1, 2, 3, 8, 9]))
+        # few levels make duplicate rows, ties and empty clusters common
+        levels = data.draw(st.sampled_from([2, 3, 5, 1000]))
+        cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=n * d, max_size=n * d))
+        centers = np.asarray(cells, dtype=np.float64).reshape(n, d) / levels
+        K = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2 ** 64 - 1))
+        assert np.array_equal(kmeanspp(centers, K, seed), kmeanspp_replay(centers, K, seed))
 
     @pytest.mark.parametrize("d, n", [(64, 36), (4, 600)])
     def test_cycling_lloyd_stops_before_the_cap(self, monkeypatch, d, n):

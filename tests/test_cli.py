@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmdl import backends, cli
+from gbmdl.backends import cluster_or_passthrough
 from gbmdl.cli import RunConfig, _build_parser, load_csv, main, render, run_pipeline
+from gbmdl.core import minmax_normalize
 from gbmdl.errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
+from gbmdl.generation import generate
+from gbmdl.metrics import acc, ari, nmi
 
 
 def write(path, text):
@@ -321,6 +325,36 @@ class TestRunPipeline:
         aris = [row["ari"] for row in report["runs"]]
         assert report["summary"]["ari_mean"] == pytest.approx(np.mean(aris))
         assert report["summary"]["ari_std"] == pytest.approx(np.std(aris))
+
+    def test_each_distinct_labelling_scored_once(self, iris_path, monkeypatch):
+        calls = []
+
+        def counted(score):
+            def wrapper(*args):
+                calls.append(score.__name__)
+                return score(*args)
+            return wrapper
+
+        for name in ("ari", "acc", "nmi"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        report = run_pipeline(RunConfig(input=iris_path, backend="kmeanspp", runs=20,
+                                        omit_timings=True))
+
+        # the rows from scoring every run
+        dataset = minmax_normalize(load_csv(iris_path))
+        result = generate(dataset)
+        rows, labellings = [], set()
+        for seed in range(20):
+            ball_labels = cluster_or_passthrough(list(result.stable_balls), 3, "kmeanspp",
+                                                 seed=seed).ball_labels
+            labellings.add(ball_labels.tobytes())
+            sample_labels = ball_labels[result.ownership]
+            rows.append({"seed": seed, "ari": ari(dataset.labels, sample_labels),
+                         "acc": acc(dataset.labels, sample_labels),
+                         "nmi": nmi(dataset.labels, sample_labels), "seconds": None})
+        assert report["runs"] == rows
+        assert 1 < len(labellings) < 20        # some runs repeat an earlier labelling
+        assert len(calls) == 3 * len(labellings)
 
     def test_deterministic_backend_zero_std(self, blob_csv):
         report = run_pipeline(RunConfig(input=blob_csv, backend="ac", runs=3))

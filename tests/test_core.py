@@ -87,6 +87,14 @@ class TestBallCenter:
         ball = GranularBall.from_members(np.array([[0.0], [1.0], [0.4]]), np.arange(3))
         assert ball.center[0] == pytest.approx(1.4 / 3, abs=1e-12)
 
+    def test_computed_once_and_not_assignable(self):
+        values = np.random.default_rng(13).random((9, 3))
+        ball = GranularBall.from_members(values, np.array([1, 4, 6]))
+        assert ball.center is ball.center
+        assert ball.center.tobytes() == (ball.stats.sum / ball.stats.count).tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ball.center = np.zeros(3)
+
 
 class TestBallRadius:
     def test_two_points(self):

@@ -88,8 +88,9 @@ def test_peel_scan_memory_is_bounded(layout):
 
 
 def test_kmeanspp_memory_is_bounded():
-    # one 5000 x 20 x 8 distance temporary takes 6.4 MB; forming one per
-    # restart at once would take 64 MB
+    # the ten restarts share two 10 x 20 x 5000 float64 buffers of 8 MB each, and
+    # their cycle histories keep one byte per label: 690 states of 5 KB here.
+    # Forming every restart's 8-feature differences at once would take 64 MB.
     rng = np.random.default_rng(3)
     centers = rng.random((5_000, 8))
     labels, peak = traced_peak(kmeanspp, centers, 20, 0)
