@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 
 import numpy as np
 
@@ -24,11 +23,7 @@ from .core import (
     stats_add_point,
 )
 from .errors import DataQualityError
-from .models import evaluate_ball, l1_length
-
-# Ownership and residual reattachment price at most about this many float64
-# cells (512 KB) at a time, so their scratch memory does not grow with n.
-BLOCK_CELLS = 1 << 16
+from .models import BLOCK_CELLS, evaluate_ball, evaluate_balls, l1_length
 
 
 def adaptive_n_min(n: int, d: int) -> int:
@@ -98,27 +93,38 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     Returns the stable balls, the peeled residual pool, and the decision
     trace. Useful for inspecting the raw competition outcome;
     ``generate`` wraps this with reassignment and final assignment.
+
+    The queue is FIFO and a verdict depends only on the ball and n_min, so the
+    loop prices one generation at a time with ``evaluate_balls``: the children
+    of a generation, in order, are the next one, and the trace is the
+    one-ball-at-a-time FIFO trace.
     """
     n_min = adaptive_n_min(dataset.n, dataset.d)
     values = dataset.values
 
-    queue = deque(initialize_balls(dataset, math.isqrt(dataset.n)))
+    generation = initialize_balls(dataset, math.isqrt(dataset.n))
+    # the first ball goes alone through evaluate_ball, the span site where perfbench
+    # counts calls and verdicts until it reads them from the trace (ROADMAP item 1)
+    priced = [evaluate_ball(generation[0], values, n_min),
+              *evaluate_balls(generation[1:], values, n_min)]
     stable: list[GranularBall] = []
     pool: list[int] = []
     trace: list[tuple[int, ModelVerdict]] = []
 
-    while queue:
-        ball = queue.popleft()
-        verdict, parts = evaluate_ball(ball, values, n_min)
-        trace.append((ball.size, verdict))
-        if parts is None:
-            stable.append(ball)
-            continue
-        queue.append(GranularBall.from_members(values, parts[0]))
-        if verdict.choice is ModelChoice.TWO_BALL:
-            queue.append(GranularBall.from_members(values, parts[1]))
-        else:
-            pool.extend(parts[1].tolist())
+    while generation:
+        children = []
+        for ball, (verdict, parts) in zip(generation, priced):
+            trace.append((ball.size, verdict))
+            if parts is None:
+                stable.append(ball)
+                continue
+            children.append(GranularBall.from_members(values, parts[0]))
+            if verdict.choice is ModelChoice.TWO_BALL:
+                children.append(GranularBall.from_members(values, parts[1]))
+            else:
+                pool.extend(parts[1].tolist())
+        generation = children
+        priced = evaluate_balls(generation, values, n_min)
 
     return stable, sorted(pool), trace
 

@@ -99,24 +99,93 @@ def log_shell_volume(d: int, r_out: float,
 
 Parts = tuple[np.ndarray, np.ndarray]
 
+# The batched scans, residual reattachment and ownership price at most about this
+# many float64 cells (512 KB) per array at a time, so their scratch memory does not
+# grow with n.
+BLOCK_CELLS = 1 << 16
 
-def _ordered_prefix(ball: GranularBall, pts: np.ndarray,
-                    key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, BallStats]:
-    """The ball's members, points and key stable-sorted by key, plus prefix stats.
 
-    Members ascend, so exact key ties go to the lower sample id. Entry i of
-    the stacked stats covers the first i + 1 sorted points.
+def _chunks(sizes: list[int], d: int):
+    """Indices of runs of balls, in ascending size, whose padded (balls, largest
+    size, d) block fits BLOCK_CELLS; a ball too large for that is a run of its
+    own. Sizes alike share a block, so little of it is padding."""
+    run: list[int] = []
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if run and (len(run) + 1) * sizes[i] * d > BLOCK_CELLS:
+            yield run
+            run = []
+        run.append(i)
+    if run:
+        yield run
+
+
+def _block(balls: list[GranularBall],
+           values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The balls as rows padded to the largest size: sizes (B,), members (B, L) and
+    points (B, L, d). Padding repeats sample 0; the scans key it +inf, so it sorts
+    last and no feasible cut reads it."""
+    sizes = np.array([ball.size for ball in balls])
+    members = np.zeros((len(balls), sizes.max()), dtype=np.int64)
+    members[np.arange(members.shape[1]) < sizes[:, None]] = np.concatenate(
+        [ball.members for ball in balls])
+    return sizes, members, values[members]
+
+
+def _sorted_prefix(members: np.ndarray, pts: np.ndarray,
+                   key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, BallStats]:
+    """Each row's members, points and key stable-sorted by key, plus prefix stats.
+
+    Members ascend, so exact key ties go to the lower sample id. Entry (b, j) of
+    the stacked stats covers the first j + 1 sorted points of row b; the sums
+    accumulate along the row exactly as on the ball alone.
     """
-    order = np.argsort(key, kind="stable")
-    pts = pts[order]
-    prefix = BallStats(count=np.arange(1, len(pts) + 1),
-                       sum=np.cumsum(pts, axis=0),
-                       sumsq=np.cumsum(np.einsum("ij,ij->i", pts, pts)))
-    return ball.members[order], pts, key[order], prefix
+    rows, length = key.shape
+    order = np.argsort(key, axis=1, kind="stable") + length * np.arange(rows)[:, None]
+    pts = pts.reshape(rows * length, -1)[order]
+    prefix = BallStats(count=np.arange(1, length + 1),
+                       sum=np.cumsum(pts, axis=1),
+                       sumsq=np.cumsum(np.einsum("bij,bij->bi", pts, pts), axis=1))
+    return members.ravel()[order], pts, key.ravel()[order], prefix
 
 
-def _halves(sorted_members: np.ndarray, size: int) -> Parts:
-    return np.sort(sorted_members[:size]), np.sort(sorted_members[size:])
+def _cuts(sorted_members: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
+          cuts: np.ndarray, feasible: np.ndarray) -> list[tuple[float, Parts | None]]:
+    """Per row, (+inf, None) if infeasible, else the length and the ascending
+    (first ``cut`` sorted members, rest) pair."""
+    return [(float(length), (np.sort(row[:cut]), np.sort(row[cut:n]))) if ok
+            else (math.inf, None) for row, n, length, cut, ok
+            in zip(sorted_members, sizes.tolist(), lengths, cuts.tolist(), feasible)]
+
+
+def _best_splits(balls: list[GranularBall], values: np.ndarray,
+                 n_min: int) -> list[tuple[float, Parts | None]]:
+    """``l2_best_split`` of every ball, scanned as one block."""
+    sizes, members, pts = _block(balls, values)
+    key = np.full(members.shape, np.inf)
+    feasible = np.zeros(len(balls), dtype=bool)
+    for b, ball in enumerate(balls):
+        if ball.size >= 2 * n_min:
+            # on the ball's own rows, as a padded scatter or projection would round differently
+            ball_pts = values[ball.members]
+            direction = first_principal_direction(ball_pts)
+            if direction is not None:
+                key[b, :ball.size] = ball_pts @ direction
+                feasible[b] = True
+    if not feasible.any():
+        return [(math.inf, None)] * len(balls)
+
+    sorted_members, _, _, left = _sorted_prefix(members, pts, key)
+    rows = np.arange(len(balls))
+    total = BallStats(sizes, left.sum[rows, sizes - 1], left.sumsq[rows, sizes - 1])
+    # right counts are clamped at 1 past the last cut, where no length is kept
+    right = BallStats(np.maximum(total.count[:, None] - left.count, 1),
+                      total.sum[:, None] - left.sum, total.sumsq[:, None] - left.sumsq)
+    d = values.shape[1]
+    lengths = partition_cost(left.count, right.count) \
+        + l1_length(left, d) + l1_length(right, d)
+    lengths[(left.count < n_min) | (right.count < n_min) | ~feasible[:, None]] = np.inf
+    best = np.argmin(lengths, axis=1)  # first minimum = smallest left half
+    return _cuts(sorted_members, sizes, lengths[rows, best], best + 1, feasible)
 
 
 def l2_best_split(ball: GranularBall, values: np.ndarray,
@@ -128,42 +197,66 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     at least n_min is evaluated from running sufficient statistics, so each
     cut costs O(d). Returns the best length and the (left, right) member
     indices, each ascending, or (+inf, None) when no cut is feasible or the
-    direction is degenerate.
+    direction is degenerate. This is the one-ball case of ``evaluate_balls``'
+    block scan.
     """
-    n_b = ball.size
-    if n_b < 2 * n_min:
-        return math.inf, None
-    pts = values[ball.members]
-    direction = first_principal_direction(pts)
-    if direction is None:
-        return math.inf, None
-
-    sorted_members, _, _, prefix = _ordered_prefix(ball, pts, pts @ direction)
-    d = pts.shape[1]
-
-    m1 = np.arange(n_min, n_b - n_min + 1)
-    left = BallStats(m1, prefix.sum[m1 - 1], prefix.sumsq[m1 - 1])
-    right = BallStats(n_b - m1, prefix.sum[-1] - left.sum, prefix.sumsq[-1] - left.sumsq)
-    lengths = partition_cost(left.count, right.count) \
-        + l1_length(left, d) + l1_length(right, d)
-
-    best = int(np.argmin(lengths))  # first minimum = smallest m1
-    return float(lengths[best]), _halves(sorted_members, int(m1[best]))
+    return _best_splits([ball], values, n_min)[0]
 
 
-def core_radius_bounds(dist_sorted: np.ndarray, sizes: np.ndarray, means: np.ndarray,
+def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
                        center: np.ndarray) -> np.ndarray:
     """Upper bound on the radius of every prefix core about its own mean.
 
-    Entry j bounds ``ball_radius(points[:sizes[j]], means[j])`` for points
-    sorted by ascending distance ``dist_sorted`` to ``center``: the farthest
-    core point's distance to the center plus the mean's distance to it.
-    (d + 4)·8 eps of slack keeps the bound above the rounded exact radius
-    where the triangle inequality is tight (collinear points).
+    ``farthest`` is each core's largest point distance to ``center``; the bound
+    adds the mean's distance to it. (d + 4)·8 eps of slack keeps the bound above
+    the rounded exact radius where the triangle inequality is tight (collinear
+    points).
     """
-    d = means.shape[1]
-    return (dist_sorted[sizes - 1] + np.sqrt(((means - center) ** 2).sum(axis=1))) \
+    d = means.shape[-1]
+    return (farthest + np.sqrt(((means - center) ** 2).sum(axis=-1))) \
         * (1.0 + 8 * (d + 4) * math.ulp(1.0))
+
+
+def _best_peels(balls: list[GranularBall], values: np.ndarray,
+                n_min: int) -> list[tuple[float, Parts | None]]:
+    """``l3_best_peel`` of every ball, scanned as one block; column j is the core of
+    j + 1 points."""
+    sizes, members, pts = _block(balls, values)
+    centers = np.stack([ball.center for ball in balls])[:, None]
+    dist = np.sqrt(((pts - centers) ** 2).sum(axis=2))
+    sorted_members, sorted_pts, sorted_dist, core = _sorted_prefix(
+        members, pts, np.where(np.arange(pts.shape[1]) < sizes[:, None], dist, np.inf))
+    rows = np.arange(len(balls))
+    # sqrt is correctly rounded, so monotone: r_b is ball_radius bit for bit
+    r_b = sorted_dist[rows, sizes - 1]
+    feasible = (sizes > n_min) & (r_b > RADIUS_FLOOR)
+
+    d = pts.shape[2]
+    q = sizes[:, None] - core.count
+    l1 = l1_length(core, d)
+    means = np.divide(core.sum, core.count[:, None], out=core.sum)   # the sums are spent
+    r_out, log_n = 2.0 * r_b, np.array([math.log(n) for n in sizes.tolist()])
+
+    def lengths(at, ball, radii: np.ndarray) -> np.ndarray:   # ``ball`` picks r_out and log_n
+        return l1[at] + q[at] * log_shell_volume(d, r_out[ball], radii) + log_n[ball]
+
+    low = lengths(..., np.s_[:, None], core_radius_bounds(sorted_dist, means, centers))
+    low[(q < 1) | (core.count < n_min) | ~feasible[:, None]] = np.inf
+    best = np.full(len(balls), np.inf)
+    cut = np.zeros(len(balls), dtype=np.int64)
+    open_rows = rows[feasible]
+    while True:   # one best-first step per open ball
+        j = low.shape[1] - 1 - np.argmin(low[open_rows, ::-1], axis=1)   # ties: smallest q
+        going = low[open_rows, j] <= best[open_rows]   # else every q left is priced above best
+        open_rows, j = open_rows[going], j[going]
+        if not open_rows.size:
+            return _cuts(sorted_members, sizes, best, cut, feasible)
+        radii = np.array([ball_radius(sorted_pts[b, :k + 1], means[b, k])
+                          for b, k in zip(open_rows.tolist(), j.tolist())])
+        got = lengths((open_rows, j), open_rows, radii)
+        wins = (got < best[open_rows]) | ((got == best[open_rows]) & (j + 1 > cut[open_rows]))
+        best[open_rows[wins]], cut[open_rows[wins]] = got[wins], j[wins] + 1
+        low[open_rows, j] = np.inf
 
 
 def l3_best_peel(ball: GranularBall, values: np.ndarray,
@@ -184,38 +277,45 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     distance to that center, and a larger radius only thins the shell, so
     that bound prices every q from below in O(n_B·d). The q are measured
     exactly in ascending bound order until the next bound exceeds the best
-    length, so the first minimum is the full scan's, bit for bit.
+    length, so the first minimum is the full scan's, bit for bit. This is the
+    one-ball case of ``evaluate_balls``' block scan, where every ball still
+    open takes one such step per round.
     """
-    n_b = ball.size
-    if n_b <= n_min:
-        return math.inf, None
-    pts = values[ball.members]
-    dist = np.sqrt(((pts - ball.center) ** 2).sum(axis=1))
-    r_b = dist.max()   # sqrt is correctly rounded, so monotone: this is ball_radius bit for bit
-    if r_b <= RADIUS_FLOOR:
-        return math.inf, None
-    sorted_members, sorted_pts, sorted_dist, prefix = _ordered_prefix(ball, pts, dist)
-    d = pts.shape[1]
+    return _best_peels([ball], values, n_min)[0]
 
-    q = np.arange(1, n_b - n_min + 1)
-    sizes = n_b - q
-    core = BallStats(sizes, prefix.sum[sizes - 1], prefix.sumsq[sizes - 1])
-    means = core.sum / sizes[:, None]
-    l1 = l1_length(core, d)
-    log_n = math.log(n_b)
 
-    def lengths(j, radii: float | np.ndarray) -> float | np.ndarray:
-        return l1[j] + q[j] * log_shell_volume(d, 2.0 * r_b, radii) + log_n
+def _verdict(l1: float, split: tuple[float, Parts | None],
+             peel: tuple[float, Parts | None]) -> tuple[ModelVerdict, Parts | None]:
+    (l2_star, split), (l3_star, peel) = split, peel
+    if l1 <= l2_star and l1 <= l3_star:
+        return ModelVerdict(ModelChoice.SINGLE_BALL, l1, l2_star, l3_star), None
+    if l3_star <= l2_star:
+        return ModelVerdict(ModelChoice.CORE_RESIDUAL, l1, l2_star, l3_star,
+                            peel_q=peel[1].size), peel
+    return ModelVerdict(ModelChoice.TWO_BALL, l1, l2_star, l3_star, split=split), split
 
-    low = lengths(slice(None), core_radius_bounds(sorted_dist, sizes, means, ball.center))
-    best = (math.inf, 0)   # first minimum of (length, j) = smallest q among the cheapest
-    for _ in q:   # best-first; each core radius is measured about that core's own mean
-        j = int(np.argmin(low))
-        if low[j] > best[0]:   # every q left is bounded above the best length
-            break
-        best = min(best, (lengths(j, ball_radius(sorted_pts[:sizes[j]], means[j])), j))
-        low[j] = math.inf
-    return float(best[0]), _halves(sorted_members, int(sizes[best[1]]))
+
+def evaluate_balls(balls: list[GranularBall], values: np.ndarray,
+                   n_min: int) -> list[tuple[ModelVerdict, Parts | None]]:
+    """``evaluate_ball`` for every ball, in the order given.
+
+    Balls of alike size share a block of at most BLOCK_CELLS padded cells,
+    which is gathered, sorted and scanned as one array pass; only the principal
+    direction, its projection and the measured core radii are computed ball by
+    ball. Every length is the one-ball computation's, bit for bit, so the
+    verdicts do not depend on how the balls are grouped.
+    """
+    d = values.shape[1]
+    results: list = [None] * len(balls)
+    for run in _chunks([ball.size for ball in balls], d):
+        chunk = [balls[i] for i in run]
+        l1 = l1_length(BallStats(np.array([ball.size for ball in chunk]),
+                                 np.stack([ball.stats.sum for ball in chunk]),
+                                 np.array([ball.stats.sumsq for ball in chunk])), d)
+        for i, result in zip(run, map(_verdict, l1.tolist(), _best_splits(chunk, values, n_min),
+                                      _best_peels(chunk, values, n_min))):
+            results[i] = result
+    return results
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray,
@@ -224,14 +324,7 @@ def evaluate_ball(ball: GranularBall, values: np.ndarray,
 
     The partition is None when the ball stays whole (M1), the (left, right)
     split for M2 and the (core, residual) peel for M3. Exact ties prefer the
-    least-destructive explanation: keep > peel > split.
+    least-destructive explanation: keep > peel > split. This is
+    ``evaluate_balls`` on one ball.
     """
-    l1 = float(l1_length(ball.stats, values.shape[1]))
-    l2_star, split = l2_best_split(ball, values, n_min)
-    l3_star, peel = l3_best_peel(ball, values, n_min)
-    if l1 <= l2_star and l1 <= l3_star:
-        return ModelVerdict(ModelChoice.SINGLE_BALL, l1, l2_star, l3_star), None
-    if l3_star <= l2_star:
-        return ModelVerdict(ModelChoice.CORE_RESIDUAL, l1, l2_star, l3_star,
-                            peel_q=peel[1].size), peel
-    return ModelVerdict(ModelChoice.TWO_BALL, l1, l2_star, l3_star, split=split), split
+    return evaluate_balls([ball], values, n_min)[0]

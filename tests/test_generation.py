@@ -1,6 +1,6 @@
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -370,14 +370,56 @@ def test_golden_decision_trace(fixture, expected, request):
     assert trace_digest(generate(dataset)) == expected
 
 
-def test_golden_decision_trace_noisy_blobs():
+def noisy_blobs() -> Dataset:
     # four Gaussian blobs under 30% uniform noise: many more peels than Iris and Wine
     rng = np.random.default_rng(13)
     means = rng.random((4, 4))
     blob = means[rng.integers(0, 4, size=2_100)] + rng.normal(scale=0.04, size=(2_100, 4))
     values = np.vstack([blob, rng.random((900, 4))])
-    dataset = minmax_normalize(Dataset(values=values[rng.permutation(3_000)]))
-    result = generate(dataset)
+    return minmax_normalize(Dataset(values=values[rng.permutation(3_000)]))
+
+
+def test_golden_decision_trace_noisy_blobs():
+    result = generate(noisy_blobs())
     assert sum(v.choice is ModelChoice.CORE_RESIDUAL for _, v in result.trace) >= 20
     assert trace_digest(result) == \
         "5ae028f9782af0eb0d54552c2d67875cd00ebdbb1bd0807d7db0235b4aa98d38"
+
+
+def fifo_replay(dataset):
+    """The regeneration loop one ball at a time: pop the queue's head, append its children."""
+    n_min = adaptive_n_min(dataset.n, dataset.d)
+    values = dataset.values
+    queue = deque(initialize_balls(dataset, math.isqrt(dataset.n)))
+    stable, pool, trace = [], [], []
+    while queue:
+        ball = queue.popleft()
+        verdict, parts = evaluate_ball(ball, values, n_min)
+        trace.append((ball.size, verdict))
+        if parts is None:
+            stable.append(ball)
+            continue
+        queue.append(GranularBall.from_members(values, parts[0]))
+        if verdict.choice is ModelChoice.TWO_BALL:
+            queue.append(GranularBall.from_members(values, parts[1]))
+        else:
+            pool.extend(parts[1].tolist())
+    return stable, sorted(pool), trace
+
+
+@pytest.mark.parametrize("name", ["iris", "wine", "noisy"])
+def test_generations_match_fifo_replay(name, request):
+    dataset = noisy_blobs() if name == "noisy" else \
+        minmax_normalize(load_csv(request.getfixturevalue(f"{name}_path")))
+    stable, pool, trace = generate_stable_balls(dataset)
+    want_stable, want_pool, want_trace = fifo_replay(dataset)
+    assert [b.members.tolist() for b in stable] == [b.members.tolist() for b in want_stable]
+    assert pool == want_pool
+    assert len(trace) == len(want_trace)
+    for (size, got), (want_size, want) in zip(trace, want_trace):
+        assert (size, got.choice, got.peel_q) == (want_size, want.choice, want.peel_q)
+        assert [x.hex() for x in (got.l1, got.l2_star, got.l3_star)] \
+            == [x.hex() for x in (want.l1, want.l2_star, want.l3_star)]
+        assert (got.split is None) == (want.split is None)
+        if want.split is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(got.split, want.split))

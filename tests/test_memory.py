@@ -1,5 +1,5 @@
-"""Memory guards for CSV ingestion, residual reattachment, final ownership, the peel scan
-and k-means++.
+"""Memory guards for CSV ingestion, the regeneration loop, residual reattachment, final
+ownership, the peel scan and k-means++.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -12,8 +12,8 @@ import pytest
 
 from gbmdl.backends import kmeanspp
 from gbmdl.cli import load_csv
-from gbmdl.core import Dataset, GranularBall
-from gbmdl.generation import assign_samples, reassign_residuals
+from gbmdl.core import Dataset, GranularBall, minmax_normalize
+from gbmdl.generation import assign_samples, generate_stable_balls, reassign_residuals
 from gbmdl.models import RADIUS_FLOOR, ball_radius, l3_best_peel
 
 MB = 2 ** 20
@@ -48,6 +48,20 @@ def test_reassign_memory_is_bounded():
         reassign_residuals, list(range(20_000)), balls, values)
     assert len(updated) == 256 and len(attachments) + len(background) == 20_000
     assert peak < 16 * MB
+
+
+def test_regeneration_memory_is_bounded():
+    # each FIFO generation is priced in blocks of at most BLOCK_CELLS padded cells
+    # (512 KB per array); the peak is 4.1 MB, a few such arrays plus the 0.6 MB
+    # sample matrix. The first generation padded whole (141 balls, the largest of 319
+    # points) would take 1.4 MB per array.
+    rng = np.random.default_rng(5)
+    means = rng.uniform(0.2, 0.8, size=(8, 4))
+    blobs = means[rng.integers(0, 8, size=14_000)] + rng.normal(scale=0.04, size=(14_000, 4))
+    ds = minmax_normalize(Dataset(values=np.vstack([blobs, rng.random((6_000, 4))])))
+    (stable, pool, trace), peak = traced_peak(generate_stable_balls, ds)
+    assert sum(b.size for b in stable) + len(pool) == 20_000
+    assert peak < 6 * MB
 
 
 def test_load_csv_memory_is_linear(tmp_path):

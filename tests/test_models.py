@@ -20,6 +20,7 @@ from gbmdl.models import (
     ball_radius,
     core_radius_bounds,
     evaluate_ball,
+    evaluate_balls,
     first_principal_direction,
     l1_length,
     l2_best_split,
@@ -443,7 +444,7 @@ class TestCoreRadii:
     @staticmethod
     def check(points, n_min):
         ball, order, dist_sorted, sizes, means = peel_cores(points, 1)
-        bounds = core_radius_bounds(dist_sorted, sizes, means, ball.center)
+        bounds = core_radius_bounds(dist_sorted[sizes - 1], means, ball.center)
         assert np.all(bounds >= core_radii_loop(points[order], sizes, means))
         length, peel = l3_best_peel(ball_of(points), points, n_min)
         want, want_peel = full_scan_peel(points, n_min)
@@ -526,6 +527,57 @@ class TestEvaluateBall:
                 assert parts[1].size == verdict.peel_q
             if parts is not None:
                 assert is_ascending_partition(parts, ball.members)
+
+
+def batch_test_balls(kind):
+    """A sample matrix and many balls over it: sizes 1 to ~150 (one 8,000-point
+    ball among 6-point ones for "big-among-small"), members drawn at random,
+    so balls overlap and sit in no order of size."""
+    rng = np.random.default_rng(["d1", "lattice", "duplicates", "collinear",
+                                 "big-among-small"].index(kind) + 60)
+    if kind == "d1":
+        values = np.vstack([rng.random((300, 1)), rng.integers(0, 5, size=(300, 1)) / 4.0])
+    elif kind == "lattice":
+        values = rng.integers(0, 3, size=(600, 3)) / 2.0
+    elif kind == "duplicates":
+        values = rng.random((4, 2))[rng.integers(0, 4, size=600)]
+    elif kind == "collinear":
+        values = np.outer(rng.integers(0, 40, size=600) / 39.0, [0.6, -0.3, 0.2]) + 0.1
+    else:
+        values = rng.normal(size=(8_000, 4))
+        members = [rng.choice(8_000, size=6, replace=False) for _ in range(60)]
+        members.insert(27, np.arange(8_000))
+        return values, [GranularBall.from_members(values, m) for m in members]
+    sizes = [*range(1, 8), *rng.integers(8, 150, size=33)]
+    rng.shuffle(sizes)
+    return values, [GranularBall.from_members(values, rng.choice(600, size=n, replace=False))
+                    for n in sizes]
+
+
+class TestEvaluateBalls:
+    @pytest.mark.parametrize("kind", ["d1", "lattice", "duplicates", "collinear",
+                                      "big-among-small"])
+    def test_equals_one_ball_at_a_time(self, kind, monkeypatch):
+        values, balls = batch_test_balls(kind)
+        n_min = 3
+        want = [evaluate_ball(ball, values, n_min) for ball in balls]
+        assert {v.choice for v, _ in want} == set(ModelChoice)
+        # every ball alone, tiny balls in twos and threes, blocks of up to 24 cells, and
+        # the default, where one block takes all balls but the largest
+        for cells in (1, 5, 24, models.BLOCK_CELLS):
+            monkeypatch.setattr(models, "BLOCK_CELLS", cells)
+            got = evaluate_balls(balls, values, n_min)
+            assert len(got) == len(balls)
+            for (g, g_parts), (w, w_parts) in zip(got, want):
+                assert (g.choice, g.peel_q) == (w.choice, w.peel_q)
+                assert [x.hex() for x in (g.l1, g.l2_star, g.l3_star)] \
+                    == [x.hex() for x in (w.l1, w.l2_star, w.l3_star)]
+                assert (g_parts is None) == (w_parts is None)
+                if w_parts is not None:
+                    assert all(np.array_equal(a, b) for a, b in zip(g_parts, w_parts))
+
+    def test_no_balls(self):
+        assert evaluate_balls([], np.zeros((3, 2)), 2) == []
 
 
 def one_gaussian(rng, d):
