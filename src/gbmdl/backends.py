@@ -128,6 +128,7 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     dist_buf, scratch = np.empty(R * K * n), np.empty(R * K * n)
     weights = np.tile(points.ravel(), R)
     offsets = np.arange(R)[:, None] * K
+    rank = (K - np.arange(K, dtype=np.min_scalar_type(K)))[:, None]
     seen: set[tuple[int, bytes]] = set()                 # (restart, labels) states
     live = np.arange(R)
     for _ in range(KMEANS_MAX_ITER):
@@ -137,15 +138,15 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
         np.square(np.subtract(cols[0], live_t[0], out=dist), out=dist)
         for f in range(1, d):
             dist += np.square(np.subtract(cols[f], live_t[f], out=tmp), out=tmp)
-        # argmin over a contiguous K axis; its first minimum is the tie rule
-        by_point = tmp.reshape(A, n, K)
-        np.copyto(by_point, dist.transpose(0, 2, 1))
-        new = by_point.argmin(axis=2)
+        # the first centroid at the exact minimum is the tie rule: it holds the
+        # highest rank, so K minus that rank is argmin's label, in rank's dtype
+        nearest = dist.min(axis=1)
+        new = K - ((dist == nearest[:, None]) * rank).max(axis=1)
 
         counts = np.bincount((new + offsets[:A]).ravel(), minlength=A * K).reshape(A, K)
         for a in np.flatnonzero((counts == 0).any(axis=1)):
             lab, count = new[a], counts[a]
-            own = dist[a, lab, np.arange(n)]
+            own = nearest[a]
             for c in np.flatnonzero(count == 0):
                 # steal only from a cluster that keeps a member
                 p = int(np.argmax(np.where(count[lab] > 1, own, -1.0)))
@@ -155,7 +156,7 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
 
         # the next labels are a function of these alone, so a repeated state
         # is a fixed point or a cycle
-        states = list(zip(live.tolist(), map(bytes, new.astype(np.min_scalar_type(K - 1)))))
+        states = list(zip(live.tolist(), map(bytes, new)))
         keep = np.array([state not in seen for state in states])
         seen.update(states)
         live, new, counts = live[keep], new[keep], counts[keep]

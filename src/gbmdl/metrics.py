@@ -5,6 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 
+def _factorize(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each label's index among the sorted distinct labels, and their count.
+
+    Integer labels whose value span is below their count are ranked in O(n) by a
+    presence table over the span; every other input goes through ``np.unique``.
+    """
+    if labels.dtype.kind in "iu":
+        low = labels.min()
+        if int(labels.max()) - int(low) < labels.size:
+            # a wrapping cast keeps the difference exact: it lies in [0, size)
+            offset = np.subtract(labels, low, dtype=np.intp, casting="unsafe")
+            index = np.cumsum(np.bincount(offset) > 0) - 1
+            return index[offset], int(index[-1]) + 1
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    return inverse, distinct.size
+
+
 def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-tabulation of two labelings as an int64 (rows × cols) count array.
 
@@ -17,9 +34,7 @@ def contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if a.size == 0:
         raise ValueError("both labelings are empty; scoring needs at least one sample")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    rows, cols = ai.max() + 1, bi.max() + 1
+    (ai, rows), (bi, cols) = _factorize(a), _factorize(b)
     return np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols)
 
 

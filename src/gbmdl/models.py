@@ -98,6 +98,9 @@ def log_shell_volume(d: int, r_out: float,
 
 
 Parts = tuple[np.ndarray, np.ndarray]
+# a block scan's result for one ball: its best length, the size of the first part
+# and the members in scan order, or (+inf, 0, None) when no partition is feasible
+Scan = tuple[float, int, np.ndarray | None]
 
 # The batched scans, residual reattachment and ownership price at most about this
 # many float64 cells (512 KB) per array at a time, so their scratch memory does not
@@ -148,17 +151,21 @@ def _sorted_prefix(members: np.ndarray, pts: np.ndarray,
     return members.ravel()[order], pts, key.ravel()[order], prefix
 
 
-def _cuts(sorted_members: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
-          cuts: np.ndarray, feasible: np.ndarray) -> list[tuple[float, Parts | None]]:
-    """Per row, (+inf, None) if infeasible, else the length and the ascending
-    (first ``cut`` sorted members, rest) pair."""
-    return [(float(length), (np.sort(row[:cut]), np.sort(row[cut:n]))) if ok
-            else (math.inf, None) for row, n, length, cut, ok
+def _scans(sorted_members: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
+           cuts: np.ndarray, feasible: np.ndarray) -> list[Scan]:
+    """Per row, the length, the cut and the row's members up to its size."""
+    return [(float(length), cut, row[:n]) if ok else (math.inf, 0, None)
+            for row, n, length, cut, ok
             in zip(sorted_members, sizes.tolist(), lengths, cuts.tolist(), feasible)]
 
 
-def _best_splits(balls: list[GranularBall], values: np.ndarray,
-                 n_min: int) -> list[tuple[float, Parts | None]]:
+def _parts(scan: Scan) -> Parts | None:
+    """The ascending (first ``cut`` scanned members, rest) pair of a scan."""
+    _, cut, row = scan
+    return None if row is None else (np.sort(row[:cut]), np.sort(row[cut:]))
+
+
+def _best_splits(balls: list[GranularBall], values: np.ndarray, n_min: int) -> list[Scan]:
     """``l2_best_split`` of every ball, scanned as one block."""
     sizes, members, pts = _block(balls, values)
     key = np.full(members.shape, np.inf)
@@ -172,7 +179,7 @@ def _best_splits(balls: list[GranularBall], values: np.ndarray,
                 key[b, :ball.size] = ball_pts @ direction
                 feasible[b] = True
     if not feasible.any():
-        return [(math.inf, None)] * len(balls)
+        return [(math.inf, 0, None)] * len(balls)
 
     sorted_members, _, _, left = _sorted_prefix(members, pts, key)
     rows = np.arange(len(balls))
@@ -185,7 +192,7 @@ def _best_splits(balls: list[GranularBall], values: np.ndarray,
         + l1_length(left, d) + l1_length(right, d)
     lengths[(left.count < n_min) | (right.count < n_min) | ~feasible[:, None]] = np.inf
     best = np.argmin(lengths, axis=1)  # first minimum = smallest left half
-    return _cuts(sorted_members, sizes, lengths[rows, best], best + 1, feasible)
+    return _scans(sorted_members, sizes, lengths[rows, best], best + 1, feasible)
 
 
 def l2_best_split(ball: GranularBall, values: np.ndarray,
@@ -200,7 +207,8 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     direction is degenerate. This is the one-ball case of ``evaluate_balls``'
     block scan.
     """
-    return _best_splits([ball], values, n_min)[0]
+    scan = _best_splits([ball], values, n_min)[0]
+    return scan[0], _parts(scan)
 
 
 def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
@@ -217,8 +225,7 @@ def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
         * (1.0 + 8 * (d + 4) * math.ulp(1.0))
 
 
-def _best_peels(balls: list[GranularBall], values: np.ndarray,
-                n_min: int) -> list[tuple[float, Parts | None]]:
+def _best_peels(balls: list[GranularBall], values: np.ndarray, n_min: int) -> list[Scan]:
     """``l3_best_peel`` of every ball, scanned as one block; column j is the core of
     j + 1 points."""
     sizes, members, pts = _block(balls, values)
@@ -250,7 +257,7 @@ def _best_peels(balls: list[GranularBall], values: np.ndarray,
         going = low[open_rows, j] <= best[open_rows]   # else every q left is priced above best
         open_rows, j = open_rows[going], j[going]
         if not open_rows.size:
-            return _cuts(sorted_members, sizes, best, cut, feasible)
+            return _scans(sorted_members, sizes, best, cut, feasible)
         radii = np.array([ball_radius(sorted_pts[b, :k + 1], means[b, k])
                           for b, k in zip(open_rows.tolist(), j.tolist())])
         got = lengths((open_rows, j), open_rows, radii)
@@ -281,18 +288,21 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     one-ball case of ``evaluate_balls``' block scan, where every ball still
     open takes one such step per round.
     """
-    return _best_peels([ball], values, n_min)[0]
+    scan = _best_peels([ball], values, n_min)[0]
+    return scan[0], _parts(scan)
 
 
-def _verdict(l1: float, split: tuple[float, Parts | None],
-             peel: tuple[float, Parts | None]) -> tuple[ModelVerdict, Parts | None]:
-    (l2_star, split), (l3_star, peel) = split, peel
+def _verdict(l1: float, split: Scan, peel: Scan) -> tuple[ModelVerdict, Parts | None]:
+    """The competition over the scans; only the winning partition is cut."""
+    l2_star, l3_star = split[0], peel[0]
     if l1 <= l2_star and l1 <= l3_star:
         return ModelVerdict(ModelChoice.SINGLE_BALL, l1, l2_star, l3_star), None
     if l3_star <= l2_star:
+        parts = _parts(peel)
         return ModelVerdict(ModelChoice.CORE_RESIDUAL, l1, l2_star, l3_star,
-                            peel_q=peel[1].size), peel
-    return ModelVerdict(ModelChoice.TWO_BALL, l1, l2_star, l3_star, split=split), split
+                            peel_q=parts[1].size), parts
+    parts = _parts(split)
+    return ModelVerdict(ModelChoice.TWO_BALL, l1, l2_star, l3_star, split=parts), parts
 
 
 def evaluate_balls(balls: list[GranularBall], values: np.ndarray,

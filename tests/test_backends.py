@@ -275,6 +275,11 @@ class TestKMeansPP:
         line[:, 0] = [0.0, 0.99, 0.99, 2.0, 5.9, 6.1, 6.1, 10.0]
         assert np.array_equal(kmeanspp(line, 3, seed=21), kmeanspp_replay(line, 3, seed=21))
 
+        # from K = 256 on, the ranks and the labels take uint16 instead of uint8
+        many = rng.random((260, d))
+        for K in (255, 256):
+            assert np.array_equal(kmeanspp(many, K, seed=K), kmeanspp_replay(many, K, seed=K)), K
+
     def test_each_restart_checks_its_own_label_history(self):
         # three rows repeated plus one stray row at K = 6: every restart cycles
         # with period 4, and restarts 0, 2 and 6 stop two steps after the other

@@ -1,5 +1,5 @@
 """Memory guards for CSV ingestion, the regeneration loop, residual reattachment, final
-ownership, the peel scan and k-means++.
+ownership, the peel scan, k-means++ and the contingency table.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -14,6 +14,7 @@ from gbmdl.backends import kmeanspp
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall, minmax_normalize
 from gbmdl.generation import assign_samples, generate_stable_balls, reassign_residuals
+from gbmdl.metrics import contingency
 from gbmdl.models import RADIUS_FLOOR, ball_radius, l3_best_peel
 
 MB = 2 ** 20
@@ -110,3 +111,12 @@ def test_kmeanspp_memory_is_bounded():
     labels, peak = traced_peak(kmeanspp, centers, 20, 0)
     assert set(labels.tolist()) == set(range(20))
     assert peak < 32 * MB
+
+
+def test_contingency_memory_is_linear():
+    # integer labels are ranked through a table over their value span only when
+    # the span is below their count; a table over [0, 2**40] would take 8 TB
+    labels = np.tile(np.array([0, 2 ** 40]), 50_000)
+    counts, peak = traced_peak(contingency, labels, labels[::-1])
+    assert counts.tolist() == [[0, 50_000], [50_000, 0]]
+    assert peak < 8 * MB

@@ -28,13 +28,33 @@ class TestContingency:
 
     def test_counts_match_pair_loop(self):
         rng = np.random.default_rng(4)
-        a, b = rng.integers(-3, 5, size=500), rng.integers(10, 13, size=500) * 7
-        counts = contingency(a, b)
-        rows, cols = np.unique(a).tolist(), np.unique(b).tolist()
-        expected = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for x, y in zip(a.tolist(), b.tolist()):
-            expected[rows.index(x), cols.index(y)] += 1
-        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+        top = np.iinfo(np.int64)
+        pairs = {
+            "random": (rng.integers(-3, 5, size=500), rng.integers(10, 13, size=500) * 7),
+            "negative": (rng.integers(-9, -2, size=40), rng.integers(-1, 1, size=40)),
+            "single-value": (np.full(30, -4), rng.integers(0, 3, size=30)),
+            "uint64-above-2**63": (rng.integers(2 ** 63, 2 ** 63 + 6, size=40, dtype=np.uint64),
+                                   np.array([2 ** 64 - 1, 2 ** 63] * 20, dtype=np.uint64)),
+            # the span overflows int64, so it must be taken in Python ints
+            "int64-min-and-max": (np.array([top.min, top.max, 0, top.max, -1, top.min]),
+                                  np.array([0, 1, 1, 0, 0, 1])),
+            # every int8 value once: the offsets overflow int8
+            "int8-full-range": (np.arange(-128, 128).astype(np.int8),
+                                np.arange(256).astype(np.uint8) % 5),
+            "span-equals-length": (np.array([0, 4, 4, 1]), np.array([7, 7, 3, 3])),
+            "span-above-length": (rng.integers(0, 10 ** 9, size=40), rng.integers(0, 90, size=40)),
+            "integral-floats": (rng.integers(0, 4, size=50).astype(np.float64),
+                                rng.integers(-2, 2, size=50)),
+            "bool": (rng.random(50) < 0.3, rng.integers(0, 3, size=50)),
+            "strings": (rng.choice(["b", "a", "c"], size=50), rng.integers(0, 3, size=50)),
+        }
+        for case, (a, b) in pairs.items():
+            counts = contingency(a, b)
+            rows, cols = np.unique(a).tolist(), np.unique(b).tolist()
+            expected = np.zeros((len(rows), len(cols)), dtype=np.int64)
+            for x, y in zip(a.tolist(), b.tolist()):
+                expected[rows.index(x), cols.index(y)] += 1
+            assert counts.dtype == np.int64 and np.array_equal(counts, expected), case
 
 
 class TestAri:
