@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GranularBall
+from .core import GranularBall, squared_distances
 from .errors import ConfigurationError
 
 BACKENDS = ("ac", "kmeanspp")
@@ -105,12 +105,13 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     R = KMEANS_RESTARTS
     rngs = [np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r])) for r in range(R)]
 
-    # D^2 seeding takes numpy's row sum, unrolled from 8 features on
+    # D^2 seeding sums the features in index order, as Lloyd's distance pass does
+    cols = np.ascontiguousarray(points.T)
     chosen = np.empty((R, K), dtype=np.intp)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
     d2 = np.full((R, n), np.inf)
     for j in range(1, K):
-        d2 = np.minimum(d2, ((points - points[chosen[:, j - 1], None]) ** 2).sum(axis=2))
+        d2 = np.minimum(d2, squared_distances(cols, points[chosen[:, j - 1]]))
         total = d2.sum(axis=1)
         drawn = total > 0
         cdf = np.cumsum(d2[drawn] / total[drawn, None], axis=1)
@@ -119,14 +120,13 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
         chosen[:, j] = [next(rows).searchsorted(rng.random(), side="right") if draw
                         else rng.integers(n) for rng, draw in zip(rngs, drawn)]
 
-    # Lloyd on the live restarts: adding one feature at a time sums the features
-    # in index order, and bincount adds each cluster's rows in ascending order.
-    # A stopped restart keeps its last accepted labels and centroids.
-    cols = np.ascontiguousarray(points.T)
-    centroids = points[chosen]
+    # Lloyd on the live restarts, with feature-major (d, R, K) centroids: adding
+    # one feature at a time sums the features in index order, and bincount adds
+    # each cluster's rows in ascending order. A stopped restart keeps its last
+    # accepted labels and centroids.
+    centroids = cols[:, chosen]
     labels = np.empty((R, n), dtype=np.intp)
     dist_buf, scratch = np.empty(R * K * n), np.empty(R * K * n)
-    weights = np.tile(points.ravel(), R)
     offsets = np.arange(R)[:, None] * K
     rank = (K - np.arange(K, dtype=np.min_scalar_type(K)))[:, None]
     seen: set[tuple[int, bytes]] = set()                 # (restart, labels) states
@@ -134,7 +134,7 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     for _ in range(KMEANS_MAX_ITER):
         A = live.size
         dist, tmp = (buf[:A * K * n].reshape(A, K, n) for buf in (dist_buf, scratch))
-        live_t = centroids[live].transpose(2, 0, 1)[..., None]      # (d, A, K, 1)
+        live_t = centroids[:, live, :, None]                       # (d, A, K, 1)
         np.square(np.subtract(cols[0], live_t[0], out=dist), out=dist)
         for f in range(1, d):
             dist += np.square(np.subtract(cols[f], live_t[f], out=tmp), out=tmp)
@@ -163,11 +163,13 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
         if not live.size:
             break
         labels[live] = new
-        sums = np.bincount(((new + offsets[:live.size])[:, :, None] * d + np.arange(d)).ravel(),
-                           weights=weights[:new.size * d], minlength=counts.size * d)
-        centroids[live] = sums.reshape(-1, K, d) / counts[:, :, None]
+        # bin (feature, restart, cluster); feature f's weights are row f of cols
+        bins = (new + offsets[:live.size]) + (np.arange(d) * counts.size)[:, None, None]
+        sums = np.bincount(bins.ravel(), weights=np.repeat(cols, live.size, axis=0).ravel(),
+                           minlength=d * counts.size)
+        centroids[:, live] = sums.reshape(d, -1, K) / counts
 
-    residual = centroids[np.arange(R)[:, None], labels]
+    residual = np.moveaxis(centroids, 0, 2)[np.arange(R)[:, None], labels]
     residual -= points               # its square equals that of points - centroid
     sse = np.square(residual, out=residual).reshape(R, n * d).sum(axis=1)
     return labels[int(np.argmin(sse))].copy()   # argmin keeps the first of equal SSEs

@@ -84,6 +84,28 @@ def minmax_normalize(dataset: Dataset) -> Dataset:
     return Dataset(values=scaled, labels=dataset.labels)
 
 
+def squared_distances(cols: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared distances from each point to each column of ``cols``, summed over
+    features in index order.
+
+    ``cols`` is feature-major, (d, m), one row per feature; C-contiguous is fastest.
+    ``points`` is one point (d,) or a stack (k, d), giving (m,) or (k, m). The
+    differences go into a new C-ordered (d, [k,] m) array, squared in place, and
+    ``np.add.reduce`` over its leading axis adds whole feature rows:
+    ((x_0 − p_0)² + (x_1 − p_1)²) + … at any d. That is numpy's row sum bit for
+    bit up to 7 features; from 8 on the row sum is unrolled. numpy sums a lone
+    column pairwise like a row, so a call that would return one distance is refused.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    d, m = cols.shape
+    if m * (points.size // d) == 1:
+        raise ValueError("one distance would be summed pairwise; pass at least two")
+    diff = np.subtract(cols.reshape(d, *(1,) * (points.ndim - 1), m), points.T[..., None],
+                       order="C")
+    np.square(diff, out=diff)
+    return np.add.reduce(diff, axis=0)
+
+
 @dataclass(frozen=True)
 class BallStats:
     """Sufficient statistics of a point set: count, per-feature sum, total squared norm.

@@ -20,6 +20,7 @@ from .core import (
     GranularBall,
     ModelChoice,
     ModelVerdict,
+    squared_distances,
     stats_add_point,
 )
 from .errors import DataQualityError
@@ -38,23 +39,25 @@ def adaptive_n_min(n: int, d: int) -> int:
 
 
 def farthest_point_bisect(subset_indices: np.ndarray,
-                          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                          cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a subset by proximity to two approximately-farthest anchor points.
 
-    The anchor chain starts at the lowest-index member; ties in either argmax
-    go to the lowest index. Points equidistant from both anchors land in the
-    first half.
+    ``cols`` is the feature-major (d, n) copy of the values, and distances sum
+    over features in index order (``squared_distances``). The anchor chain
+    starts at the lowest-index member; ties in either argmax go to the lowest
+    index. Points equidistant from both anchors land in the first half.
     """
     subset = np.sort(np.asarray(subset_indices, dtype=np.int64))
     if subset.size < 2:
         raise ValueError("cannot bisect fewer than two points")
-    pts = values[subset]
+    # distinct indices, so a subset of every sample is every column in order
+    pts = cols if subset.size == cols.shape[1] else cols[:, subset]
 
-    d0 = ((pts - pts[0]) ** 2).sum(axis=1)
+    d0 = squared_distances(pts, pts[:, 0])
     anchor1 = int(np.argmax(d0))
-    d1 = ((pts - pts[anchor1]) ** 2).sum(axis=1)
+    d1 = squared_distances(pts, pts[:, anchor1])
     anchor2 = int(np.argmax(d1))
-    d2 = ((pts - pts[anchor2]) ** 2).sum(axis=1)
+    d2 = squared_distances(pts, pts[:, anchor2])
 
     near_first = d1 <= d2
     return subset[near_first], subset[~near_first]
@@ -69,11 +72,12 @@ def initialize_balls(dataset: Dataset, k0: int) -> list[GranularBall]:
     partitions all sample indices and is ordered by first member.
     """
     values = dataset.values
+    cols = np.ascontiguousarray(values.T)
     # heap keys (-size, first member) never tie, because the member sets are disjoint
     heap = [(-dataset.n, 0, np.arange(dataset.n, dtype=np.int64))]
     while len(heap) < k0 and heap[0][0] <= -2:
         members = heapq.heappop(heap)[2]
-        halves = farthest_point_bisect(members, values)
+        halves = farthest_point_bisect(members, cols)
         if min(half.size for half in halves) == 0:
             heapq.heappush(heap, (0, int(members[0]), members))   # sorts last: never popped again
             continue
@@ -188,8 +192,16 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     keep = np.sort(np.unique(centers, axis=0, return_index=True)[1])
     centers = centers[keep]
     sq_c = np.einsum("ij,ij->i", centers, centers)
-    return keep[_first_minima(dataset.values, len(keep), lambda block: (
-        np.einsum("ij,ij->i", block, block)[:, None] - 2.0 * (block @ centers.T) + sq_c))]
+
+    def price(block: np.ndarray) -> np.ndarray:
+        # in place: scaling by -2 is exact, so each cell is |x|² − 2x·c + |c|² bit for bit
+        cells = block @ centers.T
+        cells *= -2.0
+        cells += np.einsum("ij,ij->i", block, block)[:, None]
+        cells += sq_c
+        return cells
+
+    return keep[_first_minima(dataset.values, len(keep), price)]
 
 
 def generate(dataset: Dataset) -> GenerationResult:

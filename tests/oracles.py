@@ -205,6 +205,35 @@ def min_sse_bipartition(points: np.ndarray):
     return best_mask
 
 
+def sq_dist(a, b) -> float:
+    """Squared distance between two points, one Python float per feature in index
+    order: ((a_0 - b_0)² + (a_1 - b_1)²) + ..."""
+    total = 0.0
+    for x, y in zip(np.asarray(a, dtype=np.float64).tolist(),
+                    np.asarray(b, dtype=np.float64).tolist()):
+        total += (x - y) * (x - y)
+    return total
+
+
+def farthest_point_bisect_loop(subset, values: np.ndarray):
+    """Farthest-point bisection by scalar loops, summing squared distances with
+    ``sq_dist``. The anchor chain starts at the lowest member, each farthest point
+    is the first (lowest-index) maximum, and points equidistant from both anchors
+    go to the first half. Returns both halves as ascending int64 arrays."""
+    members = sorted(int(i) for i in subset)
+    rows = [values[i] for i in members]
+
+    def distances(anchor):
+        return [sq_dist(row, anchor) for row in rows]
+
+    d0 = distances(rows[0])
+    d1 = distances(rows[d0.index(max(d0))])
+    d2 = distances(rows[d1.index(max(d1))])
+    first = [i for i, a, b in zip(members, d1, d2) if a <= b]
+    second = [i for i, a, b in zip(members, d1, d2) if a > b]
+    return np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+
+
 def core_radii_loop(points: np.ndarray, sizes, means: np.ndarray) -> np.ndarray:
     """Radius of each prefix core points[:size] about its mean, one direct-difference
     pass per core."""
@@ -251,26 +280,33 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     """Seeded k-means++ with one Python pass per centroid and per feature.
 
     Each of 10 restarts r draws from SeedSequence([seed % 2**63, r]): a
-    uniform first centre, then D^2 draws. Lloyd sums squared differences
-    feature by feature in index order, takes the first nearest centroid,
-    repairs each empty cluster by stealing the point farthest from its
-    centroid among clusters that keep a member, stops when the labels equal
+    uniform first centre, then D^2 draws. Seeding and Lloyd both sum squared
+    differences feature by feature in index order. Lloyd takes the first
+    nearest centroid, repairs each empty cluster by stealing the point farthest
+    from its centroid among clusters that keep a member, stops when the labels equal
     any earlier labels of the restart or after 300 steps, and sets each
     centroid to the sequential sum of its rows over its count. The lowest
     final SSE wins, ties to the lowest restart.
     """
     points = np.array(centers, dtype=np.float64)
     n, d = points.shape
+
+    def sq_dists(p):
+        total = np.zeros(n)
+        for f in range(d):
+            total += (points[:, f] - p[f]) ** 2
+        return total
+
     best_labels, best_sse = None, math.inf
     for r in range(10):
         rng = np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r]))
         chosen = [int(rng.integers(n))]
-        d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+        d2 = sq_dists(points[chosen[0]])
         for _ in range(1, K):
             total = d2.sum()
             nxt = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
             chosen.append(nxt)
-            d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+            d2 = np.minimum(d2, sq_dists(points[nxt]))
         centroids = points[chosen].copy()
 
         history = []

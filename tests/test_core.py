@@ -9,6 +9,7 @@ from gbmdl.core import (
     Dataset,
     GranularBall,
     minmax_normalize,
+    squared_distances,
     stats_add_point,
     stats_from_points,
     stats_sse,
@@ -18,7 +19,7 @@ from gbmdl.generation import generate
 from gbmdl.metrics import acc, ari, nmi
 from gbmdl.models import ball_radius
 
-from oracles import two_pass_sse
+from oracles import sq_dist, two_pass_sse
 
 
 class TestDataset:
@@ -106,6 +107,30 @@ class TestBallRadius:
     def test_three_four_five_triangle(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert ball_radius(pts, np.array([1.5, 2.0])) == pytest.approx(2.5)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("m", [1, 2, 3, 600])
+    @pytest.mark.parametrize("d", [1, 4, 7, 8, 13, 33, 130])
+    def test_sums_features_in_index_order(self, d, m):
+        rng = np.random.default_rng(100 * d + m)
+        # magnitudes spread over features, so the order of the sum shows in the last bit
+        values = rng.random((m + 4, d)) * rng.random(d) * 2.0 ** rng.integers(-8, 8, d)
+        points = rng.random((3, d))
+        subset = rng.permutation(m + 4)[:m]
+        # a transposed gather is F-ordered; numpy reduces its leading axis pairwise
+        for cols in (np.ascontiguousarray(values[subset].T), values[subset].T):
+            want = [[sq_dist(col, p) for col in cols.T] for p in points]
+            assert np.array_equal(squared_distances(cols, points), want)
+            if m > 1:
+                assert np.array_equal(squared_distances(cols, points[1]), want[1])
+
+    @pytest.mark.parametrize("d", [1, 8, 130])
+    def test_one_distance_is_refused(self, d):
+        # numpy sums a lone (d, 1) column pairwise, like a row
+        for point in (np.zeros(d), np.zeros((1, d))):
+            with pytest.raises(ValueError, match="pairwise"):
+                squared_distances(np.ones((d, 1)), point)
 
 
 class TestStats:

@@ -1,5 +1,5 @@
-"""Memory guards for CSV ingestion, the regeneration loop, residual reattachment, final
-ownership, the peel scan, k-means++ and the contingency table.
+"""Memory guards for CSV ingestion, farthest-point initialization, the regeneration loop,
+residual reattachment, final ownership, the peel scan, k-means++ and the contingency table.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -13,7 +13,12 @@ import pytest
 from gbmdl.backends import kmeanspp
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall, minmax_normalize
-from gbmdl.generation import assign_samples, generate_stable_balls, reassign_residuals
+from gbmdl.generation import (
+    assign_samples,
+    generate_stable_balls,
+    initialize_balls,
+    reassign_residuals,
+)
 from gbmdl.metrics import contingency
 from gbmdl.models import RADIUS_FLOOR, ball_radius, l3_best_peel
 
@@ -37,6 +42,18 @@ def test_assign_samples_memory_is_bounded():
     owner, peak = traced_peak(assign_samples, ds, balls)
     assert owner.shape == (200_000,)
     assert peak < 16 * MB
+
+
+def test_initialize_balls_memory_is_bounded():
+    # the first bisection holds the feature-major copy of the values and one
+    # difference array (12.8 MB each here), and five n-vectors of 1.6 MB: 2.6
+    # copies of the values. It needs no gather, because its subset is every sample;
+    # a gather or one more n x d temporary would break the bound.
+    rng = np.random.default_rng(6)
+    ds = Dataset(values=rng.random((200_000, 8)))
+    balls, peak = traced_peak(initialize_balls, ds, 447)
+    assert len(balls) == 447 and sum(b.size for b in balls) == 200_000
+    assert peak < 3 * ds.values.nbytes
 
 
 def test_reassign_memory_is_bounded():
