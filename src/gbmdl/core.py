@@ -198,16 +198,23 @@ class ModelChoice(Enum):
 class ModelVerdict:
     """Outcome of the three-way description-length competition for one ball.
 
-    ``split`` is present iff the two-ball model won; ``peel_q`` (the residual
-    size) iff the core-plus-residual model won.
+    ``parts`` holds the winner's two ascending member arrays: (left, right) for M2,
+    (core, residual) for M3, None for M1. ``split`` and ``peel_q`` derive from it.
     """
 
     choice: ModelChoice
     l1: float
     l2_star: float
     l3_star: float
-    split: tuple[np.ndarray, np.ndarray] | None = None
-    peel_q: int | None = None
+    parts: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def split(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return self.parts if self.choice is ModelChoice.TWO_BALL else None
+
+    @property
+    def peel_q(self) -> int | None:
+        return self.parts[1].size if self.choice is ModelChoice.CORE_RESIDUAL else None
 
 
 @dataclass(frozen=True)

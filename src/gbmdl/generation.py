@@ -109,26 +109,26 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     generation = initialize_balls(dataset, math.isqrt(dataset.n))
     # the first ball goes alone through evaluate_ball, the span site where perfbench
     # counts calls and verdicts until it reads them from the trace (ROADMAP item 1)
-    priced = [evaluate_ball(generation[0], values, n_min),
-              *evaluate_balls(generation[1:], values, n_min)]
+    verdicts = [evaluate_ball(generation[0], values, n_min)[0],
+                *evaluate_balls(generation[1:], values, n_min)]
     stable: list[GranularBall] = []
     pool: list[int] = []
     trace: list[tuple[int, ModelVerdict]] = []
 
     while generation:
         children = []
-        for ball, (verdict, parts) in zip(generation, priced):
+        for ball, verdict in zip(generation, verdicts):
             trace.append((ball.size, verdict))
-            if parts is None:
+            if verdict.parts is None:
                 stable.append(ball)
                 continue
-            children.append(GranularBall.from_members(values, parts[0]))
+            children.append(GranularBall.from_members(values, verdict.parts[0]))
             if verdict.choice is ModelChoice.TWO_BALL:
-                children.append(GranularBall.from_members(values, parts[1]))
+                children.append(GranularBall.from_members(values, verdict.parts[1]))
             else:
-                pool.extend(parts[1].tolist())
+                pool.extend(verdict.parts[1].tolist())
         generation = children
-        priced = evaluate_balls(generation, values, n_min)
+        verdicts = evaluate_balls(generation, values, n_min)
 
     return stable, sorted(pool), trace
 

@@ -98,9 +98,12 @@ def log_shell_volume(d: int, r_out: float,
 
 
 Parts = tuple[np.ndarray, np.ndarray]
-# a block scan's result for one ball: its best length, the size of the first part
-# and the members in scan order, or (+inf, 0, None) when no partition is feasible
-Scan = tuple[float, int, np.ndarray | None]
+# a gathered chunk of balls: sizes (B,), members (B, L) and points (B, L, d)
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+# a block scan, per ball: best length (+inf if infeasible), first part's size, scanned members
+Scan = tuple[np.ndarray, np.ndarray, np.ndarray]
+# the competition's explanations in order of preference on an exact tie
+WINNERS = (ModelChoice.SINGLE_BALL, ModelChoice.CORE_RESIDUAL, ModelChoice.TWO_BALL)
 
 # The batched scans, residual reattachment and ownership price at most about this
 # many float64 cells (512 KB) per array at a time, so their scratch memory does not
@@ -122,8 +125,7 @@ def _chunks(sizes: list[int], d: int):
         yield run
 
 
-def _block(balls: list[GranularBall],
-           values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block(balls: list[GranularBall], values: np.ndarray) -> Block:
     """The balls as rows padded to the largest size: sizes (B,), members (B, L) and
     points (B, L, d). Padding repeats sample 0; the scans key it +inf, so it sorts
     last and no feasible cut reads it."""
@@ -151,48 +153,44 @@ def _sorted_prefix(members: np.ndarray, pts: np.ndarray,
     return members.ravel()[order], pts, key.ravel()[order], prefix
 
 
-def _scans(sorted_members: np.ndarray, sizes: np.ndarray, lengths: np.ndarray,
-           cuts: np.ndarray, feasible: np.ndarray) -> list[Scan]:
-    """Per row, the length, the cut and the row's members up to its size."""
-    return [(float(length), cut, row[:n]) if ok else (math.inf, 0, None)
-            for row, n, length, cut, ok
-            in zip(sorted_members, sizes.tolist(), lengths, cuts.tolist(), feasible)]
+def _parts(scan: Scan, b: int, size: int) -> Parts | None:
+    """Row b of a block scan as the ascending (first ``cut`` scanned members, rest)
+    pair, or None when the row has no feasible partition."""
+    lengths, cuts, rows = scan
+    if lengths[b] == math.inf:
+        return None
+    row = rows[b, :size]
+    return np.sort(row[:cuts[b]]), np.sort(row[cuts[b]:])
 
 
-def _parts(scan: Scan) -> Parts | None:
-    """The ascending (first ``cut`` scanned members, rest) pair of a scan."""
-    _, cut, row = scan
-    return None if row is None else (np.sort(row[:cut]), np.sort(row[cut:]))
-
-
-def _best_splits(balls: list[GranularBall], values: np.ndarray, n_min: int) -> list[Scan]:
-    """``l2_best_split`` of every ball, scanned as one block."""
-    sizes, members, pts = _block(balls, values)
+def _best_splits(block: Block, n_min: int) -> Scan:
+    """``l2_best_split`` of every ball in a gathered block."""
+    sizes, members, pts = block
     key = np.full(members.shape, np.inf)
-    feasible = np.zeros(len(balls), dtype=bool)
-    for b, ball in enumerate(balls):
-        if ball.size >= 2 * n_min:
-            # on the ball's own rows, as a padded scatter or projection would round differently
-            ball_pts = values[ball.members]
-            direction = first_principal_direction(ball_pts)
-            if direction is not None:
-                key[b, :ball.size] = ball_pts @ direction
-                feasible[b] = True
+    feasible = sizes >= 2 * n_min
+    for b in np.flatnonzero(feasible).tolist():
+        # the ball's own rows, copied, as a padded scatter or projection rounds differently
+        ball_pts = pts[b, :sizes[b]].copy()
+        direction = first_principal_direction(ball_pts)
+        if direction is None:
+            feasible[b] = False
+        else:
+            key[b, :sizes[b]] = ball_pts @ direction
     if not feasible.any():
-        return [(math.inf, 0, None)] * len(balls)
+        return np.full(len(sizes), math.inf), sizes, members   # no row is cut
 
     sorted_members, _, _, left = _sorted_prefix(members, pts, key)
-    rows = np.arange(len(balls))
+    rows = np.arange(len(sizes))
     total = BallStats(sizes, left.sum[rows, sizes - 1], left.sumsq[rows, sizes - 1])
     # right counts are clamped at 1 past the last cut, where no length is kept
     right = BallStats(np.maximum(total.count[:, None] - left.count, 1),
                       total.sum[:, None] - left.sum, total.sumsq[:, None] - left.sumsq)
-    d = values.shape[1]
+    d = pts.shape[2]
     lengths = partition_cost(left.count, right.count) \
         + l1_length(left, d) + l1_length(right, d)
     lengths[(left.count < n_min) | (right.count < n_min) | ~feasible[:, None]] = np.inf
     best = np.argmin(lengths, axis=1)  # first minimum = smallest left half
-    return _scans(sorted_members, sizes, lengths[rows, best], best + 1, feasible)
+    return lengths[rows, best], best + 1, sorted_members
 
 
 def l2_best_split(ball: GranularBall, values: np.ndarray,
@@ -207,8 +205,8 @@ def l2_best_split(ball: GranularBall, values: np.ndarray,
     direction is degenerate. This is the one-ball case of ``evaluate_balls``'
     block scan.
     """
-    scan = _best_splits([ball], values, n_min)[0]
-    return scan[0], _parts(scan)
+    scan = _best_splits(_block([ball], values), n_min)
+    return float(scan[0][0]), _parts(scan, 0, ball.size)
 
 
 def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
@@ -225,10 +223,10 @@ def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
         * (1.0 + 8 * (d + 4) * math.ulp(1.0))
 
 
-def _best_peels(balls: list[GranularBall], values: np.ndarray, n_min: int) -> list[Scan]:
-    """``l3_best_peel`` of every ball, scanned as one block; column j is the core of
+def _best_peels(balls: list[GranularBall], block: Block, n_min: int) -> Scan:
+    """``l3_best_peel`` of every ball in a gathered block; column j is the core of
     j + 1 points."""
-    sizes, members, pts = _block(balls, values)
+    sizes, members, pts = block
     centers = np.stack([ball.center for ball in balls])[:, None]
     dist = np.sqrt(((pts - centers) ** 2).sum(axis=2))
     sorted_members, sorted_pts, sorted_dist, core = _sorted_prefix(
@@ -257,7 +255,7 @@ def _best_peels(balls: list[GranularBall], values: np.ndarray, n_min: int) -> li
         going = low[open_rows, j] <= best[open_rows]   # else every q left is priced above best
         open_rows, j = open_rows[going], j[going]
         if not open_rows.size:
-            return _scans(sorted_members, sizes, best, cut, feasible)
+            return best, cut, sorted_members
         radii = np.array([ball_radius(sorted_pts[b, :k + 1], means[b, k])
                           for b, k in zip(open_rows.tolist(), j.tolist())])
         got = lengths((open_rows, j), open_rows, radii)
@@ -288,53 +286,46 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     one-ball case of ``evaluate_balls``' block scan, where every ball still
     open takes one such step per round.
     """
-    scan = _best_peels([ball], values, n_min)[0]
-    return scan[0], _parts(scan)
-
-
-def _verdict(l1: float, split: Scan, peel: Scan) -> tuple[ModelVerdict, Parts | None]:
-    """The competition over the scans; only the winning partition is cut."""
-    l2_star, l3_star = split[0], peel[0]
-    if l1 <= l2_star and l1 <= l3_star:
-        return ModelVerdict(ModelChoice.SINGLE_BALL, l1, l2_star, l3_star), None
-    if l3_star <= l2_star:
-        parts = _parts(peel)
-        return ModelVerdict(ModelChoice.CORE_RESIDUAL, l1, l2_star, l3_star,
-                            peel_q=parts[1].size), parts
-    parts = _parts(split)
-    return ModelVerdict(ModelChoice.TWO_BALL, l1, l2_star, l3_star, split=parts), parts
+    scan = _best_peels([ball], _block([ball], values), n_min)
+    return float(scan[0][0]), _parts(scan, 0, ball.size)
 
 
 def evaluate_balls(balls: list[GranularBall], values: np.ndarray,
-                   n_min: int) -> list[tuple[ModelVerdict, Parts | None]]:
-    """``evaluate_ball`` for every ball, in the order given.
+                   n_min: int) -> list[ModelVerdict]:
+    """``evaluate_ball``'s verdict for every ball, in the order given.
 
     Balls of alike size share a block of at most BLOCK_CELLS padded cells,
-    which is gathered, sorted and scanned as one array pass; only the principal
-    direction, its projection and the measured core radii are computed ball by
-    ball. Every length is the one-ball computation's, bit for bit, so the
-    verdicts do not depend on how the balls are grouped.
+    which is gathered once, then sorted and scanned by the split and the peel
+    as array passes; only the principal direction, its projection and the
+    measured core radii are computed ball by ball. Only the winner's two parts
+    are sorted. Every length is the one-ball computation's, bit for bit, so
+    the verdicts do not depend on how the balls are grouped.
     """
     d = values.shape[1]
-    results: list = [None] * len(balls)
+    verdicts: list = [None] * len(balls)
     for run in _chunks([ball.size for ball in balls], d):
         chunk = [balls[i] for i in run]
-        l1 = l1_length(BallStats(np.array([ball.size for ball in chunk]),
-                                 np.stack([ball.stats.sum for ball in chunk]),
+        block = _block(chunk, values)
+        l1 = l1_length(BallStats(block[0], np.stack([ball.stats.sum for ball in chunk]),
                                  np.array([ball.stats.sumsq for ball in chunk])), d)
-        for i, result in zip(run, map(_verdict, l1.tolist(), _best_splits(chunk, values, n_min),
-                                      _best_peels(chunk, values, n_min))):
-            results[i] = result
-    return results
+        split, peel = _best_splits(block, n_min), _best_peels(chunk, block, n_min)
+        # the first minimum over (keep, peel, split): exact ties go to the least destructive
+        winners = np.argmin([l1, peel[0], split[0]], axis=0).tolist()
+        for b, (i, ball, won) in enumerate(zip(run, chunk, winners)):
+            parts = None if won == 0 else _parts((peel, split)[won - 1], b, ball.size)
+            verdicts[i] = ModelVerdict(WINNERS[won], float(l1[b]), float(split[0][b]),
+                                       float(peel[0][b]), parts)
+    return verdicts
 
 
 def evaluate_ball(ball: GranularBall, values: np.ndarray,
                   n_min: int) -> tuple[ModelVerdict, Parts | None]:
-    """Run the three-way competition and return the verdict with the winning partition.
+    """Run the three-way competition and return the verdict with its partition.
 
-    The partition is None when the ball stays whole (M1), the (left, right)
-    split for M2 and the (core, residual) peel for M3. Exact ties prefer the
-    least-destructive explanation: keep > peel > split. This is
+    ``verdict.parts`` is None when the ball stays whole (M1), the (left,
+    right) split for M2 and the (core, residual) peel for M3. Exact ties
+    prefer the least-destructive explanation: keep > peel > split. This is
     ``evaluate_balls`` on one ball.
     """
-    return evaluate_balls([ball], values, n_min)[0]
+    verdict, = evaluate_balls([ball], values, n_min)
+    return verdict, verdict.parts

@@ -286,24 +286,38 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("dataset", ["iris_path", "wine_path"])
     def test_feature_order_is_harmless(self, request, tmp_path, dataset):
-        # ten seeded column permutations give the same balls, verdicts and scores
+        # ten seeded column permutations give the same balls, verdicts and scores, and
+        # power-of-two scalings, which min-max normalization undoes exactly, the same report
         source = request.getfixturevalue(dataset)
         with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        d = len(rows[0]) - 1
+            header, *rows = list(csv.reader(fh))
+        d = len(header) - 1
 
-        def decisions(path):
-            report = run_pipeline(RunConfig(input=path, backend="ac", k="auto",
-                                            omit_timings=True))
-            return report["generation"], report["summary"]
+        def write_rows(name, table):
+            path = tmp_path / name
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(table)
+            return str(path)
 
-        expected = decisions(source)
+        def report(path, **backend):
+            got = run_pipeline(RunConfig(input=path, k="auto", omit_timings=True, **backend))
+            return {key: value for key, value in got.items() if key != "config"}
+
+        expected = report(source, backend="ac")
         for seed in range(10):
             order = [*np.random.default_rng(seed).permutation(d).tolist(), d]
-            path = tmp_path / f"permuted-{seed}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows([row[c] for c in order] for row in rows)
-            assert decisions(str(path)) == expected, order
+            path = write_rows(f"permuted-{seed}.csv", ([row[c] for c in order]
+                                                       for row in [header, *rows]))
+            got = report(path, backend="ac")
+            assert (got["generation"], got["summary"]) \
+                == (expected["generation"], expected["summary"]), order
+
+        backends = [{"backend": "ac"}, {"backend": "kmeanspp", "runs": 5}]
+        want = [report(source, **backend) for backend in backends]
+        for power in (-3, 5, 40):
+            path = write_rows(f"scaled-{power}.csv", [header, *(
+                [*(repr(float(x) * 2.0 ** power) for x in row[:d]), row[d]] for row in rows)])
+            assert [report(path, **backend) for backend in backends] == want, power
 
     def test_k_auto_without_labels_rejected(self, tmp_path):
         path = write(tmp_path / "u.csv", "0.1,0.2\n0.3,0.4\n0.5,0.6\n0.9,0.8\n")

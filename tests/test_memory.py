@@ -70,9 +70,9 @@ def test_reassign_memory_is_bounded():
 
 def test_regeneration_memory_is_bounded():
     # each FIFO generation is priced in blocks of at most BLOCK_CELLS padded cells
-    # (512 KB per array); the peak is 4.1 MB, a few such arrays plus the 0.6 MB
-    # sample matrix. The first generation padded whole (141 balls, the largest of 319
-    # points) would take 1.4 MB per array.
+    # (512 KB per array); the peak is 4.4 MB, a few such arrays plus the 0.6 MB
+    # sample matrix and the trace's split and peel partitions. The first generation
+    # padded whole (141 balls, the largest of 319 points) would take 1.4 MB per array.
     rng = np.random.default_rng(5)
     means = rng.uniform(0.2, 0.8, size=(8, 4))
     blobs = means[rng.integers(0, 8, size=14_000)] + rng.normal(scale=0.04, size=(14_000, 4))

@@ -520,6 +520,7 @@ class TestEvaluateBall:
                       ModelChoice.TWO_BALL: verdict.l2_star,
                       ModelChoice.CORE_RESIDUAL: verdict.l3_star}[verdict.choice]
             assert chosen == best
+            assert parts is verdict.parts
             assert (parts is None) == (verdict.choice is ModelChoice.SINGLE_BALL)
             if verdict.choice is ModelChoice.TWO_BALL:
                 assert parts is verdict.split
@@ -527,6 +528,59 @@ class TestEvaluateBall:
                 assert parts[1].size == verdict.peel_q
             if parts is not None:
                 assert is_ascending_partition(parts, ball.members)
+
+
+def flat_lengths(monkeypatch, whole, pair, shell):
+    """Price every 12-point ball at ``whole`` nats and every feasible split of it at
+    ``pair``; a core costs nothing but ``shell`` per residual point and ln 12.
+
+    With ``shell`` 0 every feasible residual size ties at exactly ln 12."""
+    def shape(*arrays):
+        return np.broadcast(*arrays).shape
+
+    monkeypatch.setattr(models, "l1_length", lambda stats, d: np.where(
+        np.broadcast_to(stats.count, shape(stats.count, stats.sumsq)) >= 12, whole, 0.0))
+    monkeypatch.setattr(models, "partition_cost", lambda m1, m2: np.full(shape(m1, m2), pair))
+    monkeypatch.setattr(models, "log_shell_volume",
+                        lambda d, r_out, r_core: np.full(shape(r_out, r_core), shell))
+
+
+def tie_test_balls():
+    """Two 12-point balls among smaller ones over one matrix, so all share a block."""
+    values = np.random.default_rng(17).random((60, 2))
+    members = [np.arange(12), np.arange(12, 17), np.arange(17, 29), np.arange(29, 36)]
+    return values, [GranularBall.from_members(values, m) for m in members]
+
+
+class TestExactTies:
+    """Exact ties go to the least-destructive explanation, keep > peel > split, and
+    among equal peels to the smallest residual."""
+
+    LN12 = math.log(12)
+
+    @pytest.mark.parametrize("whole, pair, choice", [
+        (0.0, 0.0, ModelChoice.SINGLE_BALL),           # keep = split < peel
+        (LN12, 100.0, ModelChoice.SINGLE_BALL),        # keep = peel < split
+        (LN12, LN12, ModelChoice.SINGLE_BALL),         # all three equal
+        (100.0, LN12, ModelChoice.CORE_RESIDUAL),      # peel = split < keep
+    ], ids=["keep-split", "keep-peel", "all-three", "peel-split"])
+    def test_competition(self, monkeypatch, whole, pair, choice):
+        values, balls = tie_test_balls()
+        flat_lengths(monkeypatch, whole, pair, shell=0.0)
+        lone = evaluate_ball(balls[0], values, n_min=4)[0]
+        assert (lone.l1, lone.l2_star, lone.l3_star) == (whole, pair, self.LN12)
+        assert lone.choice is choice
+        verdicts = evaluate_balls(balls, values, n_min=4)
+        assert [verdicts[0].choice, verdicts[2].choice] == [choice, choice]
+
+    def test_peel_takes_the_smallest_residual(self, monkeypatch):
+        values, balls = tie_test_balls()
+        flat_lengths(monkeypatch, 100.0, 100.0, shell=0.0)
+        length, (core, residual) = l3_best_peel(balls[0], values, n_min=3)
+        assert length == self.LN12 and (core.size, residual.size) == (11, 1)
+        assert evaluate_ball(balls[0], values, n_min=3)[0].peel_q == 1
+        verdicts = evaluate_balls(balls, values, n_min=3)
+        assert [v.peel_q for v in verdicts] == [1, None, 1, None]
 
 
 def batch_test_balls(kind):
@@ -568,13 +622,13 @@ class TestEvaluateBalls:
             monkeypatch.setattr(models, "BLOCK_CELLS", cells)
             got = evaluate_balls(balls, values, n_min)
             assert len(got) == len(balls)
-            for (g, g_parts), (w, w_parts) in zip(got, want):
+            for g, (w, w_parts) in zip(got, want):
                 assert (g.choice, g.peel_q) == (w.choice, w.peel_q)
                 assert [x.hex() for x in (g.l1, g.l2_star, g.l3_star)] \
                     == [x.hex() for x in (w.l1, w.l2_star, w.l3_star)]
-                assert (g_parts is None) == (w_parts is None)
+                assert (g.parts is None) == (w_parts is None)
                 if w_parts is not None:
-                    assert all(np.array_equal(a, b) for a, b in zip(g_parts, w_parts))
+                    assert all(np.array_equal(a, b) for a, b in zip(g.parts, w_parts))
 
     def test_no_balls(self):
         assert evaluate_balls([], np.zeros((3, 2)), 2) == []

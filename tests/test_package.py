@@ -91,3 +91,28 @@ def test_src_imports_only_numpy_and_the_standard_library():
                 top = name.partition(".")[0]
                 assert top == "numpy" or top in sys.stdlib_module_names, \
                     f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_every_src_definition_is_referenced():
+    # a top-level function or class that no src module and not the package root names
+    # is dead, unless perfbench patches it by name as a span site
+    tracing = ast.parse((REPO / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    sites = next(ast.literal_eval(node.value) for node in tracing.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "SPAN_SITES")
+    patched = {attr for _, attr, _ in sites}
+    defined, referenced = {}, set()
+    for path in sorted((REPO / "src" / "gbmdl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = sorted(f"{module}:{name}" for name, module in defined.items()
+                  if name not in referenced and name not in patched)
+    assert not dead, dead
