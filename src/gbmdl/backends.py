@@ -51,7 +51,7 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     def cost(r: int, cols: np.ndarray) -> np.ndarray:
         # symmetric in (r, c) bit for bit, so a pair costs the same from either side
         factor = counts[r] * counts[cols] / (counts[r] + counts[cols])
-        return factor * ((means[cols] - means[r]) ** 2).sum(axis=1)
+        return factor * squared_distances(means[cols].T, means[r, :, None])
 
     def rescan(r: int) -> None:
         cols = r + 1 + np.flatnonzero(alive[r + 1:])
@@ -105,13 +105,12 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     R = KMEANS_RESTARTS
     rngs = [np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r])) for r in range(R)]
 
-    # D^2 seeding sums the features in index order, as Lloyd's distance pass does
     cols = np.ascontiguousarray(points.T)
     chosen = np.empty((R, K), dtype=np.intp)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
     d2 = np.full((R, n), np.inf)
     for j in range(1, K):
-        d2 = np.minimum(d2, squared_distances(cols, points[chosen[:, j - 1]]))
+        d2 = np.minimum(d2, squared_distances(cols[:, None], cols[:, chosen[:, j - 1], None]))
         total = d2.sum(axis=1)
         drawn = total > 0
         cdf = np.cumsum(d2[drawn] / total[drawn, None], axis=1)
@@ -120,10 +119,10 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
         chosen[:, j] = [next(rows).searchsorted(rng.random(), side="right") if draw
                         else rng.integers(n) for rng, draw in zip(rngs, drawn)]
 
-    # Lloyd on the live restarts, with feature-major (d, R, K) centroids: adding
-    # one feature at a time sums the features in index order, and bincount adds
-    # each cluster's rows in ascending order. A stopped restart keeps its last
-    # accepted labels and centroids.
+    # Lloyd on the live restarts, with feature-major (d, R, K) centroids. One feature at a
+    # time into two reused buffers sums in index order without squared_distances' (d, A, K, n)
+    # difference, which would break the memory bound; bincount adds each cluster's rows in
+    # ascending order. A stopped restart keeps its last accepted labels and centroids.
     centroids = cols[:, chosen]
     labels = np.empty((R, n), dtype=np.intp)
     dist_buf, scratch = np.empty(R * K * n), np.empty(R * K * n)

@@ -80,29 +80,26 @@ def minmax_normalize(dataset: Dataset) -> Dataset:
     """
     mins = dataset.values.min(axis=0)
     spread = dataset.values.max(axis=0) - mins
-    scaled = (dataset.values - mins) / np.where(spread > 0, spread, 1.0)
+    scaled = dataset.values - mins
+    scaled /= np.where(spread > 0, spread, 1.0)   # in place: one n x d temporary, same bits
     return Dataset(values=scaled, labels=dataset.labels)
 
 
-def squared_distances(cols: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared distances from each point to each column of ``cols``, summed over
-    features in index order.
+def squared_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distances between ``x`` and ``c``, summed over features in index order.
 
-    ``cols`` is feature-major, (d, m), one row per feature; C-contiguous is fastest.
-    ``points`` is one point (d,) or a stack (k, d), giving (m,) or (k, m). The
-    differences go into a new C-ordered (d, [k,] m) array, squared in place, and
-    ``np.add.reduce`` over its leading axis adds whole feature rows:
-    ((x_0 − p_0)² + (x_1 − p_1)²) + … at any d. That is numpy's row sum bit for
+    The feature axis is axis 0 of both, and the other axes broadcast: (d, m)
+    against (d, 1) gives (m,), (d, 1, m) against (d, k, 1) gives (k, m). The
+    differences go into a new C-ordered array, squared in place, and
+    ``np.add.reduce`` over axis 0 adds whole feature rows:
+    ((x_0 − c_0)² + (x_1 − c_1)²) + … at any d. That is numpy's row sum bit for
     bit up to 7 features; from 8 on the row sum is unrolled. numpy sums a lone
-    column pairwise like a row, so a call that would return one distance is refused.
+    column pairwise like a row, so a single distance is accumulated instead.
     """
-    points = np.asarray(points, dtype=np.float64)
-    d, m = cols.shape
-    if m * (points.size // d) == 1:
-        raise ValueError("one distance would be summed pairwise; pass at least two")
-    diff = np.subtract(cols.reshape(d, *(1,) * (points.ndim - 1), m), points.T[..., None],
-                       order="C")
+    diff = np.subtract(x, c, order="C")
     np.square(diff, out=diff)
+    if diff.size == diff.shape[0]:
+        return np.add.accumulate(diff, axis=0)[-1]
     return np.add.reduce(diff, axis=0)
 
 
@@ -194,12 +191,13 @@ class ModelChoice(Enum):
     CORE_RESIDUAL = "M3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelVerdict:
     """Outcome of the three-way description-length competition for one ball.
 
     ``parts`` holds the winner's two ascending member arrays: (left, right) for M2,
     (core, residual) for M3, None for M1. ``split`` and ``peel_q`` derive from it.
+    Verdicts compare and hash by identity, as arrays have no truth value.
     """
 
     choice: ModelChoice

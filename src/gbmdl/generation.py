@@ -53,11 +53,11 @@ def farthest_point_bisect(subset_indices: np.ndarray,
     # distinct indices, so a subset of every sample is every column in order
     pts = cols if subset.size == cols.shape[1] else cols[:, subset]
 
-    d0 = squared_distances(pts, pts[:, 0])
+    d0 = squared_distances(pts, pts[:, :1])
     anchor1 = int(np.argmax(d0))
-    d1 = squared_distances(pts, pts[:, anchor1])
+    d1 = squared_distances(pts, pts[:, anchor1, None])
     anchor2 = int(np.argmax(d1))
-    d2 = squared_distances(pts, pts[:, anchor2])
+    d2 = squared_distances(pts, pts[:, anchor2, None])
 
     near_first = d1 <= d2
     return subset[near_first], subset[~near_first]
@@ -194,6 +194,7 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     sq_c = np.einsum("ij,ij->i", centers, centers)
 
     def price(block: np.ndarray) -> np.ndarray:
+        # the expanded GEMM, not squared_distances, until ROADMAP item 3 prices by differences
         # in place: scaling by -2 is exact, so each cell is |x|² − 2x·c + |c|² bit for bit
         cells = block @ centers.T
         cells *= -2.0

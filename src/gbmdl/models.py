@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .core import BallStats, GranularBall, ModelChoice, ModelVerdict, stats_sse
+from .core import (BallStats, GranularBall, ModelChoice, ModelVerdict, squared_distances,
+                   stats_sse)
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
@@ -23,8 +24,7 @@ VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable co
 
 def ball_radius(points: np.ndarray, center: np.ndarray) -> float:
     """Maximum Euclidean distance from any member point to the center."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return float(np.sqrt(((pts - center) ** 2).sum(axis=1).max()))
+    return float(np.sqrt(squared_distances(np.transpose(points), center[:, None]).max()))
 
 
 def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
@@ -213,13 +213,13 @@ def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
                        center: np.ndarray) -> np.ndarray:
     """Upper bound on the radius of every prefix core about its own mean.
 
-    ``farthest`` is each core's largest point distance to ``center``; the bound
-    adds the mean's distance to it. (d + 4)·8 eps of slack keeps the bound above
-    the rounded exact radius where the triangle inequality is tight (collinear
-    points).
+    ``farthest`` is each core's largest point distance to ``center``, and the bound adds
+    the mean's distance to it; ``means`` and ``center`` are feature-major. (d + 4)·8
+    eps of slack keeps the bound above the rounded exact radius where the triangle
+    inequality is tight (collinear points).
     """
-    d = means.shape[-1]
-    return (farthest + np.sqrt(((means - center) ** 2).sum(axis=-1))) \
+    d = means.shape[0]
+    return (farthest + np.sqrt(squared_distances(means, center))) \
         * (1.0 + 8 * (d + 4) * math.ulp(1.0))
 
 
@@ -227,8 +227,8 @@ def _best_peels(balls: list[GranularBall], block: Block, n_min: int) -> Scan:
     """``l3_best_peel`` of every ball in a gathered block; column j is the core of
     j + 1 points."""
     sizes, members, pts = block
-    centers = np.stack([ball.center for ball in balls])[:, None]
-    dist = np.sqrt(((pts - centers) ** 2).sum(axis=2))
+    centers = np.stack([ball.center for ball in balls]).T[..., None]   # (d, B, 1)
+    dist = np.sqrt(squared_distances(np.moveaxis(pts, 2, 0), centers))
     sorted_members, sorted_pts, sorted_dist, core = _sorted_prefix(
         members, pts, np.where(np.arange(pts.shape[1]) < sizes[:, None], dist, np.inf))
     rows = np.arange(len(balls))
@@ -245,7 +245,8 @@ def _best_peels(balls: list[GranularBall], block: Block, n_min: int) -> Scan:
     def lengths(at, ball, radii: np.ndarray) -> np.ndarray:   # ``ball`` picks r_out and log_n
         return l1[at] + q[at] * log_shell_volume(d, r_out[ball], radii) + log_n[ball]
 
-    low = lengths(..., np.s_[:, None], core_radius_bounds(sorted_dist, means, centers))
+    low = lengths(..., np.s_[:, None],
+                  core_radius_bounds(sorted_dist, np.moveaxis(means, 2, 0), centers))
     low[(q < 1) | (core.count < n_min) | ~feasible[:, None]] = np.inf
     best = np.full(len(balls), np.inf)
     cut = np.zeros(len(balls), dtype=np.int64)

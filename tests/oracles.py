@@ -103,11 +103,12 @@ def best_peel_bruteforce(points: np.ndarray, members: np.ndarray, n_min: int):
 
     Returns (best length, (core, residual)): the residual is the last q
     members in (distance, index) order, and both are ascending member indices;
-    the pair is None when no peel is feasible."""
+    the pair is None when no peel is feasible. Distances sum the features in
+    index order (``sq_dists``)."""
     pts = np.atleast_2d(points)
     n, d = pts.shape
     center = pts.mean(axis=0)
-    dist = np.sqrt(((pts - center) ** 2).sum(axis=1))
+    dist = np.sqrt(sq_dists(pts, center))
     r_ball = float(dist.max())
     if n <= n_min or r_ball <= RADIUS_FLOOR:
         return math.inf, None
@@ -117,7 +118,7 @@ def best_peel_bruteforce(points: np.ndarray, members: np.ndarray, n_min: int):
     for q in range(1, n - n_min + 1):
         core = sorted_pts[: n - q]
         core_mean = core.mean(axis=0)
-        core_radius = float(np.sqrt(((core - core_mean) ** 2).sum(axis=1).max()))
+        core_radius = float(np.sqrt(sq_dists(core, core_mean).max()))
         length = l1_closed(core) \
             + q * log_shell_volume(d, 2.0 * r_ball, core_radius) \
             + math.log(max(n, 2))
@@ -215,6 +216,17 @@ def sq_dist(a, b) -> float:
     return total
 
 
+def sq_dists(a, b) -> np.ndarray:
+    """Squared distances between the points of ``a`` and ``b``, features on the last
+    axis and the rest broadcast, added one feature at a time in index order as
+    ``sq_dist`` does."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    total = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for f in range(a.shape[-1]):
+        total += (a[..., f] - b[..., f]) ** 2
+    return total
+
+
 def farthest_point_bisect_loop(subset, values: np.ndarray):
     """Farthest-point bisection by scalar loops, summing squared distances with
     ``sq_dist``. The anchor chain starts at the lowest member, each farthest point
@@ -237,7 +249,7 @@ def farthest_point_bisect_loop(subset, values: np.ndarray):
 def core_radii_loop(points: np.ndarray, sizes, means: np.ndarray) -> np.ndarray:
     """Radius of each prefix core points[:size] about its mean, one direct-difference
     pass per core."""
-    return np.array([np.sqrt(((points[:size] - mean) ** 2).sum(axis=1)).max()
+    return np.array([np.sqrt(sq_dists(points[:size], mean)).max()
                      for size, mean in zip(sizes, means)])
 
 
@@ -245,18 +257,18 @@ def ward_replay(centers: np.ndarray) -> list[frozenset]:
     """Naive all-pairs Ward merge sequence down to one cluster.
 
     Every merge recomputes every live pair's SSE increase
-    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2 from direct differences and takes the
-    row-major first minimum of the upper triangle, with live clusters kept in
-    order of their lowest member. Returns the merged member set of each merge.
+    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2 from direct differences, summed over
+    features in index order (``sq_dists``), and takes the row-major first
+    minimum of the upper triangle, with live clusters kept in order of their
+    lowest member. Returns the merged member set of each merge.
     """
     means = np.array(centers, dtype=np.float64)
     sizes = np.ones(len(means))
     clusters = [frozenset([i]) for i in range(len(means))]
     merges = []
     while len(clusters) > 1:
-        diff = means[None, :, :] - means[:, None, :]
         factor = sizes[:, None] * sizes[None, :] / (sizes[:, None] + sizes[None, :])
-        cost = factor * (diff ** 2).sum(axis=2)
+        cost = factor * sq_dists(means[None, :, :], means[:, None, :])
         cost[np.tril_indices(len(clusters))] = np.inf
         i, j = np.unravel_index(np.argmin(cost), cost.shape)
         merges.append(clusters[i] | clusters[j])
@@ -289,31 +301,23 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     final SSE wins, ties to the lowest restart.
     """
     points = np.array(centers, dtype=np.float64)
-    n, d = points.shape
-
-    def sq_dists(p):
-        total = np.zeros(n)
-        for f in range(d):
-            total += (points[:, f] - p[f]) ** 2
-        return total
+    n = len(points)
 
     best_labels, best_sse = None, math.inf
     for r in range(10):
         rng = np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r]))
         chosen = [int(rng.integers(n))]
-        d2 = sq_dists(points[chosen[0]])
+        d2 = sq_dists(points, points[chosen[0]])
         for _ in range(1, K):
             total = d2.sum()
             nxt = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
             chosen.append(nxt)
-            d2 = np.minimum(d2, sq_dists(points[nxt]))
+            d2 = np.minimum(d2, sq_dists(points, points[nxt]))
         centroids = points[chosen].copy()
 
         history = []
         for _ in range(300):
-            dist2 = np.zeros((n, K))
-            for f in range(d):
-                dist2 += (points[:, f, None] - centroids[None, :, f]) ** 2
+            dist2 = sq_dists(points[:, None], centroids[None])
             new = np.argmin(dist2, axis=1)
             counts = np.bincount(new, minlength=K)
             own = dist2[np.arange(n), new]

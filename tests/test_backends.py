@@ -8,7 +8,7 @@ from gbmdl.backends import agglomerative_ward, cluster_or_passthrough, kmeanspp
 from gbmdl.core import GranularBall
 from gbmdl.errors import ConfigurationError
 
-from oracles import clusters_after, kmeanspp_replay, min_sse_bipartition, ward_replay
+from oracles import clusters_after, kmeanspp_replay, min_sse_bipartition, sq_dist, ward_replay
 
 
 def balls_from_rows(values: np.ndarray) -> list[GranularBall]:
@@ -124,7 +124,7 @@ class TestWard:
                 for i in range(len(clusters)):
                     for j in range(i + 1, len(clusters)):
                         inc = sizes[i] * sizes[j] / (sizes[i] + sizes[j]) \
-                            * float(((means[i] - means[j]) ** 2).sum())
+                            * sq_dist(means[i], means[j])
                         key = (inc, min(min(clusters[i]), min(clusters[j])),
                                max(min(clusters[i]), min(clusters[j])))
                         if best is None or key < best[0]:
@@ -154,6 +154,10 @@ class TestWard:
             rng.random((640, 2)),
             np.vstack([tripled, tripled, tripled, tripled[:1]])[rng.permutation(250)],
             grid[rng.permutation(256)],                      # a shuffled quarter grid
+            # lattices of thirds in 8 and 13 features: near-tied costs whose order
+            # turns on the sum's rounding, which numpy's row sum would unroll
+            rng.integers(0, 3, size=(160, 8)) / 3.0,
+            rng.integers(0, 3, size=(120, 13)) / 3.0,
         ]
         for centers in inputs:
             k = len(centers)

@@ -19,7 +19,7 @@ from gbmdl.generation import generate
 from gbmdl.metrics import acc, ari, nmi
 from gbmdl.models import ball_radius
 
-from oracles import sq_dist, two_pass_sse
+from oracles import sq_dist, sq_dists, two_pass_sse
 
 
 class TestDataset:
@@ -108,29 +108,54 @@ class TestBallRadius:
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert ball_radius(pts, np.array([1.5, 2.0])) == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("d", [8, 13])
+    def test_sums_features_in_index_order(self, d):
+        rng = np.random.default_rng(d)
+        for size in (1, 2, 40):
+            pts = rng.normal(size=(size, d))
+            center = rng.normal(size=d)
+            want = np.sqrt(max(sq_dist(p, center) for p in pts))
+            assert ball_radius(pts, center) == want
+
+
+def spread_rows(rng, shape, d):
+    # magnitudes spread over features, so the order of the sum shows in the last bit
+    return rng.random((*shape, d)) * rng.random(d) * 2.0 ** rng.integers(-8, 8, d)
+
 
 class TestSquaredDistances:
     @pytest.mark.parametrize("m", [1, 2, 3, 600])
     @pytest.mark.parametrize("d", [1, 4, 7, 8, 13, 33, 130])
     def test_sums_features_in_index_order(self, d, m):
         rng = np.random.default_rng(100 * d + m)
-        # magnitudes spread over features, so the order of the sum shows in the last bit
-        values = rng.random((m + 4, d)) * rng.random(d) * 2.0 ** rng.integers(-8, 8, d)
+        values = spread_rows(rng, (m + 4,), d)
         points = rng.random((3, d))
         subset = rng.permutation(m + 4)[:m]
+        want = [[sq_dist(row, p) for row in values[subset]] for p in points]
         # a transposed gather is F-ordered; numpy reduces its leading axis pairwise
         for cols in (np.ascontiguousarray(values[subset].T), values[subset].T):
-            want = [[sq_dist(col, p) for col in cols.T] for p in points]
-            assert np.array_equal(squared_distances(cols, points), want)
-            if m > 1:
-                assert np.array_equal(squared_distances(cols, points[1]), want[1])
+            assert np.array_equal(squared_distances(cols[:, None], points.T[..., None]), want)
+            assert np.array_equal(squared_distances(cols, points[1, :, None]), want[1])
 
-    @pytest.mark.parametrize("d", [1, 8, 130])
-    def test_one_distance_is_refused(self, d):
-        # numpy sums a lone (d, 1) column pairwise, like a row
-        for point in (np.zeros(d), np.zeros((1, d))):
-            with pytest.raises(ValueError, match="pairwise"):
-                squared_distances(np.ones((d, 1)), point)
+    @pytest.mark.parametrize("d", [1, 8, 13, 130])
+    def test_lone_column(self, d):
+        # numpy reduces a lone (d, 1) column pairwise, like a row
+        for a, b in spread_rows(np.random.default_rng(d), (20, 2), d):
+            want = sq_dist(a, b)
+            assert squared_distances(a, b) == want
+            for shape in ((d, 1), (d, 1, 1)):
+                got = squared_distances(a.reshape(shape), b.reshape(shape))
+                assert got.shape == shape[1:] and got.ravel().tolist() == [want]
+
+    @pytest.mark.parametrize("rows, length", [(1, 1), (1, 9), (4, 1), (4, 9)])
+    @pytest.mark.parametrize("d", [3, 8, 13])
+    def test_block_against_its_centers(self, d, rows, length):
+        # the peel's layout: a moveaxis view of a (B, L, d) block against (d, B, 1) centers
+        block = spread_rows(np.random.default_rng(7 * d + rows), (rows, length), d)
+        centers = block.mean(axis=1)
+        got = squared_distances(np.moveaxis(block, 2, 0), centers.T[..., None])
+        assert np.array_equal(got, [[sq_dist(x, c) for x in xs] for xs, c in zip(block, centers)])
+        assert np.array_equal(got, sq_dists(block, centers[:, None]))
 
 
 class TestStats:

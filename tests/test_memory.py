@@ -1,5 +1,6 @@
-"""Memory guards for CSV ingestion, farthest-point initialization, the regeneration loop,
-residual reattachment, final ownership, the peel scan, k-means++ and the contingency table.
+"""Memory guards for CSV ingestion, normalization, farthest-point initialization, the
+regeneration loop, residual reattachment, final ownership, the peel scan, k-means++ and
+the contingency table.
 
 Peaks are tracemalloc counts of the bytes the call allocates (numpy reports
 its buffers to tracemalloc), so they repeat exactly from run to run.
@@ -42,6 +43,17 @@ def test_assign_samples_memory_is_bounded():
     owner, peak = traced_peak(assign_samples, ds, balls)
     assert owner.shape == (200_000,)
     assert peak < 16 * MB
+
+
+def test_minmax_normalize_memory_is_bounded():
+    # the scaled copy (12.8 MB here) is divided in place; the finiteness check of
+    # the new Dataset adds 1.6 MB of booleans. Dividing into a second n x d array
+    # would peak at two copies of the values.
+    rng = np.random.default_rng(7)
+    ds = Dataset(values=rng.random((200_000, 8)) * 5.0 - 1.0)
+    scaled, peak = traced_peak(minmax_normalize, ds)
+    assert scaled.values.min() == 0.0 and scaled.values.max() == 1.0
+    assert peak < 1.5 * ds.values.nbytes
 
 
 def test_initialize_balls_memory_is_bounded():

@@ -36,6 +36,7 @@ from oracles import (
     core_radii_loop,
     is_ascending_partition,
     l1_numeric,
+    sq_dists,
 )
 from oracles import log_ball_volume as oracle_log_ball_volume
 from oracles import log_shell_volume as oracle_log_shell_volume
@@ -310,7 +311,7 @@ def peel_cores(points, n_min):
     center, index), the sorted distances, the core sizes and each core's mean."""
     ball = ball_of(points)
     n = len(points)
-    dist = np.sqrt(((points - ball.center) ** 2).sum(axis=1))
+    dist = np.sqrt(sq_dists(points, ball.center))
     order = np.lexsort((np.arange(n), dist))
     sizes = np.arange(n - 1, n_min - 1, -1)
     means = np.cumsum(points[order], axis=0)[sizes - 1] / sizes[:, None]
@@ -336,12 +337,15 @@ def full_scan_peel(points, n_min):
 def peel_test_balls():
     rng = np.random.default_rng(31)
     scaled = np.random.default_rng(21)
+    wide = np.random.default_rng(13)
     grid = np.array([(i, j) for i in range(8) for j in range(8)]) / 4.0
     return {
         "quarter-grid": grid[rng.permutation(64)],
         "few-levels": rng.integers(0, 3, size=(150, 4)) * 0.5,
         "offset-1e6": rng.integers(0, 4, size=(120, 3)) / 4.0 + 1e6,
         "random": rng.normal(size=(200, 8)) * 10.0 ** rng.integers(-3, 4, size=8),
+        # 13 features of like scale, past the 7 that numpy's row sum adds in order
+        "random-13": wide.normal(size=(180, 13)) * wide.uniform(0.5, 2.0, size=13),
         # balls on a line make the radius bound tight, so many q survive to be measured
         "lattice-1d": np.repeat(np.arange(5) / 4.0, 60)[:, None],
         "even-1d": (np.arange(500) / 499.0)[:, None],
@@ -444,7 +448,7 @@ class TestCoreRadii:
     @staticmethod
     def check(points, n_min):
         ball, order, dist_sorted, sizes, means = peel_cores(points, 1)
-        bounds = core_radius_bounds(dist_sorted[sizes - 1], means, ball.center)
+        bounds = core_radius_bounds(dist_sorted[sizes - 1], means.T, ball.center[:, None])
         assert np.all(bounds >= core_radii_loop(points[order], sizes, means))
         length, peel = l3_best_peel(ball_of(points), points, n_min)
         want, want_peel = full_scan_peel(points, n_min)
@@ -453,7 +457,8 @@ class TestCoreRadii:
 
     # powers of two keep every mantissa; the odd factors change every rounding
     @pytest.mark.parametrize("scale", [1, 3, 50, 997, 1 << 20])
-    @pytest.mark.parametrize("name", ["few-levels", "offset-1e6", "quarter-grid", "random"])
+    @pytest.mark.parametrize("name", ["few-levels", "offset-1e6", "quarter-grid", "random",
+                                      "random-13"])
     def test_bit_equal_to_per_core_loop(self, name, scale):
         self.check(peel_test_balls()[name] * scale, n_min=2)
 
@@ -487,6 +492,14 @@ class TestEvaluateBall:
         assert verdict.choice is ModelChoice.CORE_RESIDUAL
         assert verdict.peel_q == 1 and verdict.split is None
         assert parts[1].size == verdict.peel_q and parts[1].tolist() == [5]
+
+    def test_verdicts_compare_and_hash_by_identity(self):
+        # a two-clump ball's verdict holds its split's member arrays
+        pts = np.array([[0.0], [0.1], [0.2], [0.9], [1.0], [1.1]])
+        first, second = (evaluate_ball(ball_of(pts), pts, n_min=2)[0] for _ in range(2))
+        assert first.choice is second.choice is ModelChoice.TWO_BALL
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
     def test_small_ball_forced_single(self):
         pts = np.array([[0.0], [1.0]])

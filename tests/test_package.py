@@ -116,3 +116,18 @@ def test_every_src_definition_is_referenced():
     dead = sorted(f"{module}:{name}" for name, module in defined.items()
                   if name not in referenced and name not in patched)
     assert not dead, dead
+
+
+def test_no_src_distance_is_a_row_sum():
+    # squared distances go through core.squared_distances, which adds the features in
+    # index order; numpy's row sum (x ** 2).sum(...) adds eight or more of them unrolled
+    found = []
+    for path in sorted((REPO / "src" / "gbmdl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "sum" and isinstance(node.func.value, ast.BinOp) \
+                    and isinstance(node.func.value.op, ast.Pow) \
+                    and getattr(node.func.value.right, "value", None) == 2:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
