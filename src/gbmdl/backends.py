@@ -14,7 +14,7 @@ KMEANS_RESTARTS = 10     # seeded k-means++ attempts per call; the lowest SSE wi
 KMEANS_MAX_ITER = 300    # Lloyd iterations per attempt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallClustering:
     """Cluster ids for the stable balls, one label per ball, all in [0, K)."""
 
@@ -172,6 +172,15 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     residual -= points               # its square equals that of points - centroid
     sse = np.square(residual, out=residual).reshape(R, n * d).sum(axis=1)
     return labels[int(np.argmin(sse))].copy()   # argmin keeps the first of equal SSEs
+
+
+def reads_seed(stable_balls: list[GranularBall], K: int, backend: str) -> bool:
+    """Whether ``cluster_or_passthrough``'s labels can depend on its seed.
+
+    Only k-means++ draws, and only when the balls outnumber K so that it runs
+    at all: Ward and the passthrough give every seed the same labels.
+    """
+    return backend == "kmeanspp" and len(stable_balls) > K
 
 
 def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,

@@ -15,18 +15,26 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .backends import BACKENDS, cluster_or_passthrough
-from .core import Dataset, minmax_normalize
+from .backends import BACKENDS, cluster_or_passthrough, reads_seed
+from .core import Dataset, GranularBall, minmax_normalize
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import generate
 from .metrics import acc, ari, nmi
+
+# Seeded runs count balls * K * (d + 14) * runs work: in a fit to in-process k-means++
+# times, a Lloyd step's passes besides its d distance passes cost about 14 more. From
+# this much work on, two forked workers beat one process; each further worker needs
+# half this much more.
+POOL_MIN_WORK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -212,13 +220,68 @@ def _dataset(values: np.ndarray, labels: np.ndarray | None, offset: int,
     return Dataset(values=values, labels=labels)
 
 
+def _cluster_seed(balls: list[GranularBall], k: int, backend: str,
+                  seed: int) -> tuple[np.ndarray, float]:
+    """One seeded run: its ball labels and the seconds its clustering took."""
+    t = time.perf_counter()
+    labels = cluster_or_passthrough(balls, k, backend, seed=seed).ball_labels
+    return labels, time.perf_counter() - t
+
+
+_worker_balls: list[GranularBall] = []   # set once in each pool worker, never in the parent
+
+
+def _init_worker(balls: list[GranularBall]) -> None:
+    global _worker_balls
+    _worker_balls = balls
+
+
+def _cluster_seeds(k: int, backend: str, seeds: range) -> list[tuple[np.ndarray, float]]:
+    return [_cluster_seed(_worker_balls, k, backend, seed) for seed in seeds]
+
+
+def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
+                 seeds: range) -> list[tuple[np.ndarray, float]]:
+    """Every seed's (ball labels, seconds), in seed order.
+
+    A clustering that ignores the seed runs once, and the later seeds reuse its
+    labels at 0 seconds. Where fork and a second CPU exist and the work reaches
+    ``POOL_MIN_WORK``, each worker process, at most one per CPU and per seed, takes
+    one contiguous block of seeds. Fork hands the workers the balls without
+    pickling, and only the labels and timings come back, so the labels are those
+    of an in-process run.
+    """
+    if not reads_seed(balls, k, backend):
+        labels, seconds = _cluster_seed(balls, k, backend, seeds[0])
+        return [(labels, seconds)] + [(labels, 0.0)] * (len(seeds) - 1)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        work = len(balls) * k * (balls[0].center.size + 14) * len(seeds)
+        workers = min(len(os.sched_getaffinity(0)), len(seeds), 2 * work // POOL_MIN_WORK)
+    if workers < 2:
+        return [_cluster_seed(balls, k, backend, seed) for seed in seeds]
+
+    # imported here: the pool costs import time that in-process runs never pay. Fork,
+    # not spawn: a spawned worker would import numpy and gbmdl afresh and unpickle the balls
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    blocks = [seeds[len(seeds) * w // workers:len(seeds) * (w + 1) // workers]
+              for w in range(workers)]
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                             initializer=_init_worker, initargs=(balls,)) as pool:
+        return [run for block in pool.map(partial(_cluster_seeds, k, backend), blocks)
+                for run in block]
+
+
 def run_pipeline(config: RunConfig) -> dict:
     """Execute the full benchmark for one dataset and return the report.
 
     The report is the dict the CLI prints, with the keys config, dataset,
     generation, runs and summary in that order. Generation is deterministic,
     so it runs once and is shared by all seeded backend runs (run i uses
-    seed + i).
+    seed + i). Enough seeded k-means++ work is shared among forked worker
+    processes (``_seeded_runs``); the report is the same either way.
     """
     dataset = load_csv(config.input, config.label_col)
     if dataset.labels is not None and dataset.n < 2:
@@ -239,20 +302,17 @@ def run_pipeline(config: RunConfig) -> dict:
     for _, verdict in result.trace:
         verdicts[verdict.choice.value] += 1
 
+    seeds = range(config.seed, config.seed + config.runs)
+    runs = _seeded_runs(list(result.stable_balls), k, config.backend, seeds)
     run_rows = []
     scores_of: dict[bytes, list[float]] = {}   # ari, acc, nmi of each distinct labelling
-    for i in range(config.runs):
-        run_seed = config.seed + i
-        t1 = time.perf_counter()
-        clustering = cluster_or_passthrough(
-            list(result.stable_balls), k, config.backend, seed=run_seed)
-        sample_labels = clustering.ball_labels[result.ownership]
-        run_seconds = time.perf_counter() - t1
+    for run_seed, (ball_labels, run_seconds) in zip(seeds, runs):
         row = {"seed": run_seed, "ari": None, "acc": None, "nmi": None,
                "seconds": None if config.omit_timings else run_seconds}
         if dataset.labels is not None:
-            key = clustering.ball_labels.tobytes()
+            key = ball_labels.tobytes()
             if key not in scores_of:
+                sample_labels = ball_labels[result.ownership]
                 scores_of[key] = [s(dataset.labels, sample_labels) for s in (ari, acc, nmi)]
             row["ari"], row["acc"], row["nmi"] = scores_of[key]
         run_rows.append(row)

@@ -2,7 +2,8 @@
 
 All types are immutable value objects: pipeline stages communicate by
 constructing new instances, never by mutating shared state, so any number of
-threads may read them concurrently.
+threads may read them concurrently. The ones that hold arrays compare and hash
+by identity (``eq=False``), as arrays have no truth value.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An n x d sample matrix plus optional ground-truth labels, one per sample.
 
@@ -103,7 +104,7 @@ def squared_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.add.reduce(diff, axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallStats:
     """Sufficient statistics of a point set: count, per-feature sum, total squared norm.
 
@@ -148,7 +149,7 @@ def stats_sse(stats: BallStats) -> float | np.ndarray:
     return np.maximum(stats.sumsq - sum_sq / stats.count, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GranularBall:
     """A subset of samples summarized by its count, sum and squared norm.
 
@@ -197,7 +198,6 @@ class ModelVerdict:
 
     ``parts`` holds the winner's two ascending member arrays: (left, right) for M2,
     (core, residual) for M3, None for M1. ``split`` and ``peel_q`` derive from it.
-    Verdicts compare and hash by identity, as arrays have no truth value.
     """
 
     choice: ModelChoice
@@ -215,7 +215,7 @@ class ModelVerdict:
         return self.parts[1].size if self.choice is ModelChoice.CORE_RESIDUAL else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerationResult:
     """Everything the generation stage produces.
 

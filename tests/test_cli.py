@@ -1,6 +1,9 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -374,6 +377,27 @@ class TestRunPipeline:
         report = run_pipeline(RunConfig(input=blob_csv, backend="ac", runs=3))
         assert report["summary"]["ari_std"] == 0.0
 
+    def test_seedless_backend_clusters_once(self, iris_path, monkeypatch):
+        # Ward ignores the seed, so every run row reuses one clustering
+        calls = []
+        ward = backends.agglomerative_ward
+        monkeypatch.setattr(backends, "agglomerative_ward",
+                            lambda centers, K: calls.append(K) or ward(centers, K))
+        one = run_pipeline(RunConfig(input=iris_path, backend="ac", omit_timings=True))
+        calls.clear()
+        three = run_pipeline(RunConfig(input=iris_path, backend="ac", runs=3, seed=5))
+        assert calls == [3]
+        scores = {key: one["runs"][0][key] for key in ("ari", "acc", "nmi")}
+        assert [{key: row[key] for key in scores} for row in three["runs"]] == [scores] * 3
+        assert [row["seed"] for row in three["runs"]] == [5, 6, 7]
+        assert three["runs"][0]["seconds"] > 0.0
+        assert [row["seconds"] for row in three["runs"][1:]] == [0.0, 0.0]
+        # the summary of three copies of the one run's scores, as a run per seed gave it
+        assert three["summary"] == {
+            f"{key}_{stat}": float(getattr(np, stat)([value] * 3))
+            for key, value in scores.items() for stat in ("mean", "std")}
+        assert three["summary"]["ari_std"] == three["summary"]["acc_std"] == 0.0
+
     def test_json_schema_key_order(self, blob_csv):
         report = run_pipeline(RunConfig(input=blob_csv))
         data = json.loads(render(report))
@@ -413,6 +437,56 @@ class TestRunPipeline:
             assert reports[-1]["summary"]["ari_mean"] is not None
             del reports[-1]["config"]["backend"]
         assert reports[0] == reports[1]
+
+
+def force_pool(monkeypatch) -> list[int]:
+    """Send every seeded run to the worker pool; returns each pool's worker count."""
+    started = []
+
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(cli, "POOL_MIN_WORK", 1)   # the crossover, lowered to any work
+    return started
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="the worker pool needs fork and a second CPU")
+class TestWorkerPool:
+    @pytest.mark.parametrize("runs", [4, 7])
+    def test_report_is_the_in_process_report(self, iris_path, wine_path, monkeypatch, runs):
+        configs = [RunConfig(input=path, backend="kmeanspp", runs=runs, seed=3,
+                             omit_timings=True) for path in (iris_path, wine_path)]
+        in_process = [render(run_pipeline(config)) for config in configs]
+        started = force_pool(monkeypatch)
+        assert [render(run_pipeline(config)) for config in configs] == in_process
+        assert started == [min(len(os.sched_getaffinity(0)), runs)] * 2
+        assert multiprocessing.active_children() == []
+
+        timed = run_pipeline(dataclasses.replace(configs[0], omit_timings=False))
+        assert all(row["seconds"] > 0.0 for row in timed["runs"])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_exits_2_and_leaves_no_child(self, iris_path, monkeypatch, capsys):
+        started = force_pool(monkeypatch)
+        kmeanspp = backends.kmeanspp
+
+        def fail_on_seed_3(centers, K, seed):
+            if seed == 3:
+                raise ConfigurationError(f"no clustering in process {os.getpid()}")
+            return kmeanspp(centers, K, seed)
+
+        monkeypatch.setattr(backends, "kmeanspp", fail_on_seed_3)
+        assert main(["--input", iris_path, "--backend", "kmeanspp", "--runs", "4"]) == 2
+        assert started
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: no clustering in process ")
+        assert int(lines[0].rsplit(" ", 1)[1]) != os.getpid()   # raised in a worker
+        assert multiprocessing.active_children() == []
 
 
 class TestCommandLine:

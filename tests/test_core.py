@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gbmdl.backends import cluster_or_passthrough
+from gbmdl.backends import BallClustering, cluster_or_passthrough
 from gbmdl.core import (
     BallStats,
     Dataset,
@@ -243,3 +243,21 @@ class TestGranularBall:
         with pytest.raises(ValueError):
             GranularBall(members=np.array([1, 1]),
                          stats=stats_from_points(values[:2]))
+
+
+ARRAY_HOLDERS = {
+    "Dataset": lambda: Dataset(values=np.eye(3), labels=np.arange(3)),
+    "BallStats": lambda: stats_from_points(np.eye(3)),
+    "GranularBall": lambda: GranularBall.from_members(np.eye(3), [0, 1, 2]),
+    "BallClustering": lambda: BallClustering(ball_labels=np.arange(3)),
+    "GenerationResult": lambda: generate(Dataset(values=np.random.default_rng(4).random((40, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # two objects with equal fields: comparing them field by field would ask an
+    # array for its truth value, and hashing them would hash an array
+    first, second = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2

@@ -420,6 +420,25 @@ class TestL3BestPeel:
         b, _ = l3_best_peel(ball_of(shifted), shifted, 3)
         assert b == pytest.approx(a, rel=1e-9)
 
+    def test_centre_distances_sum_features_in_index_order(self):
+        # The farthest pair's squared offset is 2^54 plus 31 terms of 1.375², each under
+        # half its ulp: added in feature order they vanish, while numpy's row sum gathers
+        # them in eight partial sums first and lands 56 higher, which moves r_B by 7 ulps
+        # and l3_star with it. Integer coordinates and mirrored points put the centre at 0.
+        d = 32
+        half = np.random.default_rng(0).integers(-2 ** 24, 2 ** 24, size=(24, d)) * 1.0
+        far = np.full(d, 1.375)
+        far[0] = 2.0 ** 27
+        assert sq_dists(far, np.zeros(d)) == 2.0 ** 54 != np.square(far).sum()
+        points = np.vstack([half, far, -half, -far]) * 2.0 ** -27
+        ball = ball_of(points)
+        assert not ball.center.any()
+        for n_min in (2, 12):
+            length, (core, residual) = l3_best_peel(ball, points, n_min)
+            want, (want_core, want_residual) = full_scan_peel(points, n_min)
+            assert length == want
+            assert np.array_equal(core, want_core) and np.array_equal(residual, want_residual)
+
     @pytest.mark.parametrize("name", sorted(peel_test_balls()))
     def test_bit_equal_to_full_scan(self, name, monkeypatch):
         points = peel_test_balls()[name]

@@ -59,16 +59,18 @@ def test_readme_code_names_resolve():
 
 
 def test_scoring_and_both_backends_load_no_scipy():
-    # a fresh interpreter, so modules the test run itself imported do not count
+    # a fresh interpreter, so modules the test run itself imported do not count; Iris's
+    # seeded runs are too little work for the worker pool, which costs its import time
     script = (
         "import sys, contextlib, io\n"
+        "heavy = ('scipy', 'multiprocessing', 'concurrent')\n"
         "import gbmdl\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"
         "from gbmdl import cli\n"
-        "for extra in (['--backend', 'ac'], ['--backend', 'kmeanspp', '--runs', '2']):\n"
+        "for extra in (['--backend', 'ac'], ['--backend', 'kmeanspp', '--runs', '20']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(['--input', 'data/iris.csv', *extra]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in heavy))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
