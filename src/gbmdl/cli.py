@@ -236,8 +236,8 @@ def _init_worker(balls: list[GranularBall]) -> None:
     _worker_balls = balls
 
 
-def _cluster_seeds(k: int, backend: str, seeds: range) -> list[tuple[np.ndarray, float]]:
-    return [_cluster_seed(_worker_balls, k, backend, seed) for seed in seeds]
+def _worker_seed(k: int, backend: str, seed: int) -> tuple[np.ndarray, float]:
+    return _cluster_seed(_worker_balls, k, backend, seed)
 
 
 def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
@@ -246,10 +246,10 @@ def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
 
     A clustering that ignores the seed runs once, and the later seeds reuse its
     labels at 0 seconds. Where fork and a second CPU exist and the work reaches
-    ``POOL_MIN_WORK``, each worker process, at most one per CPU and per seed, takes
-    one contiguous block of seeds. Fork hands the workers the balls without
-    pickling, and only the labels and timings come back, so the labels are those
-    of an in-process run.
+    ``POOL_MIN_WORK``, worker processes, at most one per CPU and per seed, take the
+    seeds in contiguous chunks of ⌈runs / workers⌉. Fork hands the workers the
+    balls without pickling, and only the labels and timings come back, so the
+    labels are those of an in-process run.
     """
     if not reads_seed(balls, k, backend):
         labels, seconds = _cluster_seed(balls, k, backend, seeds[0])
@@ -266,12 +266,10 @@ def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    blocks = [seeds[len(seeds) * w // workers:len(seeds) * (w + 1) // workers]
-              for w in range(workers)]
     with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                              initializer=_init_worker, initargs=(balls,)) as pool:
-        return [run for block in pool.map(partial(_cluster_seeds, k, backend), blocks)
-                for run in block]
+        return list(pool.map(partial(_worker_seed, k, backend), seeds,
+                             chunksize=-(-len(seeds) // workers)))
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -321,7 +319,8 @@ def run_pipeline(config: RunConfig) -> dict:
     for name in ("ari", "acc", "nmi"):
         scores = None if dataset.labels is None else np.array([row[name] for row in run_rows])
         summary[f"{name}_mean"] = None if scores is None else float(scores.mean())
-        summary[f"{name}_std"] = None if scores is None else float(scores.std())
+        # exactly 0 when every run scored alike, which numpy's std can miss by the mean's rounding
+        summary[f"{name}_std"] = None if scores is None else float(np.ptp(scores) and scores.std())
 
     settings = asdict(config)
     del settings["output"]

@@ -63,16 +63,15 @@ def farthest_point_bisect(subset_indices: np.ndarray,
     return subset[near_first], subset[~near_first]
 
 
-def initialize_balls(dataset: Dataset, k0: int) -> list[GranularBall]:
+def initialize_balls(dataset: Dataset, k0: int) -> list[np.ndarray]:
     """Recursively bisect the largest ball until k0 balls exist.
 
     Ties on size go to the ball with the lowest minimum member index. A ball
     whose bisection returns an empty half (all members coincide) is left
-    whole, so the loop also stops when nothing splittable remains. The result
-    partitions all sample indices and is ordered by first member.
+    whole, so the loop also stops when nothing splittable remains. It returns
+    ascending member arrays that partition the samples, ordered by first member.
     """
-    values = dataset.values
-    cols = np.ascontiguousarray(values.T)
+    cols = np.ascontiguousarray(dataset.values.T)
     # heap keys (-size, first member) never tie, because the member sets are disjoint
     heap = [(-dataset.n, 0, np.arange(dataset.n, dtype=np.int64))]
     while len(heap) < k0 and heap[0][0] <= -2:
@@ -85,7 +84,7 @@ def initialize_balls(dataset: Dataset, k0: int) -> list[GranularBall]:
             heapq.heappush(heap, (-half.size, int(half[0]), half))
 
     heap.sort(key=lambda entry: entry[1])
-    return [GranularBall.from_members(values, members) for _, _, members in heap]
+    return [members for _, _, members in heap]
 
 
 def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[int],
@@ -99,9 +98,9 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     ``generate`` wraps this with reassignment and final assignment.
 
     The queue is FIFO and a verdict depends only on the ball and n_min, so the
-    loop prices one generation at a time with ``evaluate_balls``: the children
-    of a generation, in order, are the next one, and the trace is the
-    one-ball-at-a-time FIFO trace.
+    loop prices one generation of member arrays at a time (``evaluate_balls``):
+    the verdict parts of a generation, in order, are the next one, so the trace
+    is the one-ball-at-a-time FIFO trace; a ball kept whole becomes a GranularBall.
     """
     n_min = adaptive_n_min(dataset.n, dataset.d)
     values = dataset.values
@@ -117,14 +116,14 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
 
     while generation:
         children = []
-        for ball, verdict in zip(generation, verdicts):
-            trace.append((ball.size, verdict))
+        for members, verdict in zip(generation, verdicts):
+            trace.append((members.size, verdict))
             if verdict.parts is None:
-                stable.append(ball)
+                stable.append(GranularBall.from_members(values, members))
                 continue
-            children.append(GranularBall.from_members(values, verdict.parts[0]))
+            children.append(verdict.parts[0])
             if verdict.choice is ModelChoice.TWO_BALL:
-                children.append(GranularBall.from_members(values, verdict.parts[1]))
+                children.append(verdict.parts[1])
             else:
                 pool.extend(verdict.parts[1].tolist())
         generation = children

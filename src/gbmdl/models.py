@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import (BallStats, GranularBall, ModelChoice, ModelVerdict, squared_distances,
+from .core import (BallStats, ModelChoice, ModelVerdict, squared_distances, stats_from_points,
                    stats_sse)
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -98,8 +98,8 @@ def log_shell_volume(d: int, r_out: float,
 
 
 Parts = tuple[np.ndarray, np.ndarray]
-# a gathered chunk of balls: sizes (B,), members (B, L) and points (B, L, d)
-Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+# a gathered chunk of balls: sizes (B,), members (B, L), points (B, L, d) and stacked stats
+Block = tuple[np.ndarray, np.ndarray, np.ndarray, BallStats]
 # a block scan, per ball: best length (+inf if infeasible), first part's size, scanned members
 Scan = tuple[np.ndarray, np.ndarray, np.ndarray]
 # the competition's explanations in order of preference on an exact tie
@@ -125,15 +125,17 @@ def _chunks(sizes: list[int], d: int):
         yield run
 
 
-def _block(balls: list[GranularBall], values: np.ndarray) -> Block:
-    """The balls as rows padded to the largest size: sizes (B,), members (B, L) and
-    points (B, L, d). Padding repeats sample 0; the scans key it +inf, so it sorts
-    last and no feasible cut reads it."""
+def _block(balls: list[np.ndarray], values: np.ndarray) -> Block:
+    """The balls' member arrays padded to the largest size: sizes (B,), members (B, L),
+    points (B, L, d) and each ball's stats from its own rows. Padding repeats
+    sample 0; the scans key it +inf, so it sorts last and no feasible cut reads it."""
     sizes = np.array([ball.size for ball in balls])
     members = np.zeros((len(balls), sizes.max()), dtype=np.int64)
-    members[np.arange(members.shape[1]) < sizes[:, None]] = np.concatenate(
-        [ball.members for ball in balls])
-    return sizes, members, values[members]
+    members[np.arange(members.shape[1]) < sizes[:, None]] = np.concatenate(balls)
+    pts = values[members]
+    stats = [stats_from_points(pts[b, :size]) for b, size in enumerate(sizes.tolist())]
+    return sizes, members, pts, BallStats(sizes, np.stack([s.sum for s in stats]),
+                                          np.array([s.sumsq for s in stats]))
 
 
 def _sorted_prefix(members: np.ndarray, pts: np.ndarray,
@@ -165,7 +167,7 @@ def _parts(scan: Scan, b: int, size: int) -> Parts | None:
 
 def _best_splits(block: Block, n_min: int) -> Scan:
     """``l2_best_split`` of every ball in a gathered block."""
-    sizes, members, pts = block
+    sizes, members, pts, _ = block
     key = np.full(members.shape, np.inf)
     feasible = sizes >= 2 * n_min
     for b in np.flatnonzero(feasible).tolist():
@@ -193,17 +195,17 @@ def _best_splits(block: Block, n_min: int) -> Scan:
     return lengths[rows, best], best + 1, sorted_members
 
 
-def l2_best_split(ball: GranularBall, values: np.ndarray,
+def l2_best_split(ball: np.ndarray, values: np.ndarray,
                   n_min: int) -> tuple[float, Parts | None]:
     """Cheapest two-ball explanation over all feasible principal-direction cuts.
 
-    Members are projected onto the first principal direction and stable-sorted
-    by (projection, original index); every prefix length m1 with both halves
-    at least n_min is evaluated from running sufficient statistics, so each
-    cut costs O(d). Returns the best length and the (left, right) member
-    indices, each ascending, or (+inf, None) when no cut is feasible or the
-    direction is degenerate. This is the one-ball case of ``evaluate_balls``'
-    block scan.
+    The points of the ascending member array ``ball`` are projected onto the
+    first principal direction and stable-sorted by (projection, original
+    index); every prefix length m1 with both halves at least n_min is
+    evaluated from running sufficient statistics, so each cut costs O(d).
+    Returns the best length and the (left, right) member indices, each
+    ascending, or (+inf, None) when no cut is feasible or the direction is
+    degenerate. This is the one-ball case of ``evaluate_balls``' block scan.
     """
     scan = _best_splits(_block([ball], values), n_min)
     return float(scan[0][0]), _parts(scan, 0, ball.size)
@@ -223,15 +225,15 @@ def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
         * (1.0 + 8 * (d + 4) * math.ulp(1.0))
 
 
-def _best_peels(balls: list[GranularBall], block: Block, n_min: int) -> Scan:
+def _best_peels(block: Block, n_min: int) -> Scan:
     """``l3_best_peel`` of every ball in a gathered block; column j is the core of
     j + 1 points."""
-    sizes, members, pts = block
-    centers = np.stack([ball.center for ball in balls]).T[..., None]   # (d, B, 1)
+    sizes, members, pts, stats = block
+    centers = (stats.sum / sizes[:, None]).T[..., None]   # (d, B, 1)
     dist = np.sqrt(squared_distances(np.moveaxis(pts, 2, 0), centers))
     sorted_members, sorted_pts, sorted_dist, core = _sorted_prefix(
         members, pts, np.where(np.arange(pts.shape[1]) < sizes[:, None], dist, np.inf))
-    rows = np.arange(len(balls))
+    rows = np.arange(len(sizes))
     # sqrt is correctly rounded, so monotone: r_b is ball_radius bit for bit
     r_b = sorted_dist[rows, sizes - 1]
     feasible = (sizes > n_min) & (r_b > RADIUS_FLOOR)
@@ -248,8 +250,8 @@ def _best_peels(balls: list[GranularBall], block: Block, n_min: int) -> Scan:
     low = lengths(..., np.s_[:, None],
                   core_radius_bounds(sorted_dist, np.moveaxis(means, 2, 0), centers))
     low[(q < 1) | (core.count < n_min) | ~feasible[:, None]] = np.inf
-    best = np.full(len(balls), np.inf)
-    cut = np.zeros(len(balls), dtype=np.int64)
+    best = np.full(len(sizes), np.inf)
+    cut = np.zeros(len(sizes), dtype=np.int64)
     open_rows = rows[feasible]
     while True:   # one best-first step per open ball
         j = low.shape[1] - 1 - np.argmin(low[open_rows, ::-1], axis=1)   # ties: smallest q
@@ -265,13 +267,13 @@ def _best_peels(balls: list[GranularBall], block: Block, n_min: int) -> Scan:
         low[open_rows, j] = np.inf
 
 
-def l3_best_peel(ball: GranularBall, values: np.ndarray,
+def l3_best_peel(ball: np.ndarray, values: np.ndarray,
                  n_min: int) -> tuple[float, Parts | None]:
     """Cheapest core-plus-residual explanation over all feasible residual sizes.
 
-    Members are sorted ascending by distance to the full-ball center (ties by
-    original index); the largest distance is the ball radius r_B. For residual
-    size q the core keeps the nearest n_B - q points; its cost is the
+    The ascending member array ``ball`` is sorted by distance to the ball's
+    center (ties by original index); the largest distance is the radius r_B.
+    For residual size q the core keeps the nearest n_B - q points; its cost is the
     single-ball length of the core plus q times the log shell volume between
     the core radius (about the core's own mean) and the outer background
     radius 2 * r_B, plus ln n_B to encode q itself. Returns the best
@@ -287,46 +289,45 @@ def l3_best_peel(ball: GranularBall, values: np.ndarray,
     one-ball case of ``evaluate_balls``' block scan, where every ball still
     open takes one such step per round.
     """
-    scan = _best_peels([ball], _block([ball], values), n_min)
+    scan = _best_peels(_block([ball], values), n_min)
     return float(scan[0][0]), _parts(scan, 0, ball.size)
 
 
-def evaluate_balls(balls: list[GranularBall], values: np.ndarray,
+def evaluate_balls(balls: list[np.ndarray], values: np.ndarray,
                    n_min: int) -> list[ModelVerdict]:
     """``evaluate_ball``'s verdict for every ball, in the order given.
 
-    Balls of alike size share a block of at most BLOCK_CELLS padded cells,
-    which is gathered once, then sorted and scanned by the split and the peel
-    as array passes; only the principal direction, its projection and the
-    measured core radii are computed ball by ball. Only the winner's two parts
-    are sorted. Every length is the one-ball computation's, bit for bit, so
-    the verdicts do not depend on how the balls are grouped.
+    Each ball is an ascending member array. Balls of alike size share a block
+    of at most BLOCK_CELLS padded cells, which is gathered once and gives each
+    ball its stats, then sorted and scanned by the split and the peel as array
+    passes; only the principal direction, its projection and the measured core
+    radii are computed ball by ball. Only the winner's two parts are sorted.
+    Every length is the one-ball computation's, bit for bit, so the verdicts do
+    not depend on how the balls are grouped.
     """
     d = values.shape[1]
     verdicts: list = [None] * len(balls)
     for run in _chunks([ball.size for ball in balls], d):
-        chunk = [balls[i] for i in run]
-        block = _block(chunk, values)
-        l1 = l1_length(BallStats(block[0], np.stack([ball.stats.sum for ball in chunk]),
-                                 np.array([ball.stats.sumsq for ball in chunk])), d)
-        split, peel = _best_splits(block, n_min), _best_peels(chunk, block, n_min)
+        block = _block([balls[i] for i in run], values)
+        l1 = l1_length(block[3], d)
+        split, peel = _best_splits(block, n_min), _best_peels(block, n_min)
         # the first minimum over (keep, peel, split): exact ties go to the least destructive
         winners = np.argmin([l1, peel[0], split[0]], axis=0).tolist()
-        for b, (i, ball, won) in enumerate(zip(run, chunk, winners)):
-            parts = None if won == 0 else _parts((peel, split)[won - 1], b, ball.size)
+        for b, (i, won) in enumerate(zip(run, winners)):
+            parts = None if won == 0 else _parts((peel, split)[won - 1], b, balls[i].size)
             verdicts[i] = ModelVerdict(WINNERS[won], float(l1[b]), float(split[0][b]),
                                        float(peel[0][b]), parts)
     return verdicts
 
 
-def evaluate_ball(ball: GranularBall, values: np.ndarray,
+def evaluate_ball(ball: np.ndarray, values: np.ndarray,
                   n_min: int) -> tuple[ModelVerdict, Parts | None]:
     """Run the three-way competition and return the verdict with its partition.
 
-    ``verdict.parts`` is None when the ball stays whole (M1), the (left,
-    right) split for M2 and the (core, residual) peel for M3. Exact ties
-    prefer the least-destructive explanation: keep > peel > split. This is
-    ``evaluate_balls`` on one ball.
+    ``ball`` is an ascending member array. ``verdict.parts`` is None when it
+    stays whole (M1), the (left, right) split for M2 and the (core, residual)
+    peel for M3. Exact ties prefer the least-destructive explanation: keep >
+    peel > split. This is ``evaluate_balls`` on one ball.
     """
     verdict, = evaluate_balls([ball], values, n_min)
     return verdict, verdict.parts

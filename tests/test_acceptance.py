@@ -90,7 +90,7 @@ def test_criterion_2_split_and_peel_bruteforce_oracles():
             ball = GranularBall.from_members(pts, np.arange(n))
             n_min = int(rng.integers(2, 9))
 
-            l2_star, split = l2_best_split(ball, pts, n_min)
+            l2_star, split = l2_best_split(ball.members, pts, n_min)
             if n < 2 * n_min:
                 assert l2_star == math.inf and split is None
             else:
@@ -100,7 +100,7 @@ def test_criterion_2_split_and_peel_bruteforce_oracles():
                 assert is_ascending_partition(split, ball.members)
                 assert all(np.array_equal(a, b) for a, b in zip(split, ref))
 
-            l3_star, peel = l3_best_peel(ball, pts, n_min)
+            l3_star, peel = l3_best_peel(ball.members, pts, n_min)
             ref_len, ref = best_peel_bruteforce(pts, ball.members, n_min)
             if n <= n_min:
                 assert l3_star == math.inf and peel is None
@@ -153,7 +153,7 @@ def test_criterion_4_termination_and_stability():
             n_min = adaptive_n_min(n, d)
             for ball in stable:
                 if ball.size > n_min:
-                    verdict, _ = evaluate_ball(ball, ds.values, n_min)
+                    verdict, _ = evaluate_ball(ball.members, ds.values, n_min)
                     assert verdict.choice is ModelChoice.SINGLE_BALL
 
 

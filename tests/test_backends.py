@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,34 @@ class TestKMeansPP:
         many = rng.random((260, d))
         for K in (255, 256):
             assert np.array_equal(kmeanspp(many, K, seed=K), kmeanspp_replay(many, K, seed=K)), K
+
+    def test_seeding_distances_sum_features_in_index_order(self):
+        # A's squared offset from O = 0 is 1 plus 31 terms of 1.375² · 2^-54, each under
+        # half its ulp: added in feature order they vanish, while numpy's row sum gathers
+        # them in eight partial sums first and lands 56 · 2^-54 higher. At seed 0 restart
+        # 0 seeds at O (index 2), and B's offset t is searched so that its second D² draw
+        # falls between the two sums' CDFs at A. With K = n every restart ends at SSE 0,
+        # so the labels are restart 0's draw order.
+        d = 32
+        points = np.zeros((3, d))
+        points[0] = 1.375 * 2.0 ** -27
+        points[0, 0] = 1.0
+        a, a_row = sq_dist(points[0], points[2]), np.square(points[0]).sum()
+        assert a == 1.0 != a_row
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+        assert int(rng.integers(3)) == 2
+        u = rng.random()
+
+        def second_draw(d2_a: float, t: float) -> int:   # Generator.choice(3, p=D² / total)
+            cdf = np.cumsum(np.array([d2_a, t * t, 0.0]) / (d2_a + t * t))
+            cdf /= cdf[-1]
+            return int(cdf.searchsorted(u, side="right"))
+
+        t0 = math.sqrt((1.0 - u) / u)
+        points[1, 1] = next(t for t in t0 + np.spacing(t0) * np.arange(-64, 65)
+                            if second_draw(a, t) != second_draw(a_row, t))
+        assert second_draw(a, points[1, 1]) == 1   # B second, so A last
+        assert kmeanspp(points, 3, seed=0).tolist() == [2, 1, 0]
 
     def test_each_restart_checks_its_own_label_history(self):
         # three rows repeated plus one stray row at K = 6: every restart cycles

@@ -81,28 +81,28 @@ class TestInitializeBalls:
     def test_single_sample(self):
         ds = Dataset(values=np.array([[0.5]]))
         balls = initialize_balls(ds, 1)
-        assert len(balls) == 1 and balls[0].members.tolist() == [0]
+        assert len(balls) == 1 and balls[0].tolist() == [0]
 
     def test_reaches_target_count_and_partitions(self):
         rng = np.random.default_rng(8)
         ds = Dataset(values=rng.random((100, 3)))
         balls = initialize_balls(ds, 10)
         assert len(balls) == 10
-        seen = np.concatenate([b.members for b in balls])
+        seen = np.concatenate(balls)
         assert np.array_equal(np.sort(seen), np.arange(100))
 
     def test_duplicate_pairs(self):
         values = np.array([[0.1, 0.1], [0.1, 0.1], [0.9, 0.9], [0.9, 0.9]])
         balls = initialize_balls(Dataset(values=values), 2)
         assert len(balls) == 2
-        groups = sorted(tuple(b.members.tolist()) for b in balls)
+        groups = sorted(tuple(b.tolist()) for b in balls)
         assert groups == [(0, 1), (2, 3)]
 
     def test_all_identical_points_stop_early(self):
         values = np.full((9, 2), 0.25)
         balls = initialize_balls(Dataset(values=values), 3)
         assert len(balls) == 1
-        assert balls[0].members.size == 9
+        assert balls[0].size == 9
 
     @staticmethod
     def linear_scan_replay(values, k0):
@@ -137,7 +137,7 @@ class TestInitializeBalls:
                 distinct = rng.random((int(rng.integers(1, 6)), d))
                 values = distinct[rng.integers(0, len(distinct), n)]
             k0 = int(rng.integers(1, n + 3))
-            got = [b.members.tolist() for b in initialize_balls(Dataset(values=values), k0)]
+            got = [b.tolist() for b in initialize_balls(Dataset(values=values), k0)]
             assert got == self.linear_scan_replay(values, k0)
 
 
@@ -176,7 +176,7 @@ class TestGenerate:
         n_min = adaptive_n_min(ds.n, ds.d)
         for ball in stable:
             if ball.size > n_min:
-                verdict, _ = evaluate_ball(ball, ds.values, n_min)
+                verdict, _ = evaluate_ball(ball.members, ds.values, n_min)
                 assert verdict.choice is ModelChoice.SINGLE_BALL
 
     def test_partition_before_reassignment(self):
@@ -398,15 +398,15 @@ def fifo_replay(dataset):
     queue = deque(initialize_balls(dataset, math.isqrt(dataset.n)))
     stable, pool, trace = [], [], []
     while queue:
-        ball = queue.popleft()
-        verdict, parts = evaluate_ball(ball, values, n_min)
-        trace.append((ball.size, verdict))
+        members = queue.popleft()
+        verdict, parts = evaluate_ball(members, values, n_min)
+        trace.append((members.size, verdict))
         if parts is None:
-            stable.append(ball)
+            stable.append(members)
             continue
-        queue.append(GranularBall.from_members(values, parts[0]))
+        queue.append(parts[0])
         if verdict.choice is ModelChoice.TWO_BALL:
-            queue.append(GranularBall.from_members(values, parts[1]))
+            queue.append(parts[1])
         else:
             pool.extend(parts[1].tolist())
     return stable, sorted(pool), trace
@@ -418,7 +418,7 @@ def test_generations_match_fifo_replay(name, request):
         minmax_normalize(load_csv(request.getfixturevalue(f"{name}_path")))
     stable, pool, trace = generate_stable_balls(dataset)
     want_stable, want_pool, want_trace = fifo_replay(dataset)
-    assert [b.members.tolist() for b in stable] == [b.members.tolist() for b in want_stable]
+    assert [b.members.tolist() for b in stable] == [m.tolist() for m in want_stable]
     assert pool == want_pool
     assert len(trace) == len(want_trace)
     for (size, got), (want_size, want) in zip(trace, want_trace):
@@ -428,3 +428,46 @@ def test_generations_match_fifo_replay(name, request):
         assert (got.split is None) == (want.split is None)
         if want.split is not None:
             assert all(np.array_equal(a, b) for a, b in zip(got.split, want.split))
+
+
+def count_built_balls(monkeypatch) -> list[int]:
+    """Record the size of every ``GranularBall.from_members`` call from here on."""
+    built = []
+    from_members = GranularBall.__dict__["from_members"].__func__
+
+    def counted(cls, values, members):
+        built.append(len(members))
+        return from_members(cls, values, members)
+
+    monkeypatch.setattr(GranularBall, "from_members", classmethod(counted))
+    return built
+
+
+def test_initial_balls_are_member_arrays(monkeypatch):
+    built = count_built_balls(monkeypatch)
+    dataset = noisy_blobs()
+    balls = initialize_balls(dataset, math.isqrt(dataset.n))
+    assert built == []
+    assert all(type(b) is np.ndarray and (np.diff(b) > 0).all() for b in balls)
+    assert np.array_equal(np.sort(np.concatenate(balls)), np.arange(dataset.n))
+    assert [int(b[0]) for b in balls] == sorted(int(b[0]) for b in balls)
+
+
+def test_granular_balls_are_built_only_for_returned_balls(monkeypatch):
+    # a generation is member arrays: a ball that stays whole becomes a GranularBall,
+    # and reattachment rebuilds each ball it grows; no split or peel part is built
+    built = count_built_balls(monkeypatch)
+    winners = set()
+    reassign = generation.reassign_residuals
+
+    def spy(pool, stable_balls, values):
+        updated, attachments, background = reassign(pool, stable_balls, values)
+        winners.update(attachments.values())
+        return updated, attachments, background
+
+    monkeypatch.setattr(generation, "reassign_residuals", spy)
+    result = generate(noisy_blobs())
+    kept = [size for size, v in result.trace if v.choice is ModelChoice.SINGLE_BALL]
+    assert winners and len(kept) < len(result.trace)
+    assert len(built) == len(kept) + len(winners)
+    assert built[:len(kept)] == kept

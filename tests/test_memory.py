@@ -126,7 +126,7 @@ def test_peel_scan_memory_is_bounded(layout):
         values = np.linspace(0.0, 1.0, 8_000)[:, None]
     ball = GranularBall.from_members(values, np.arange(8_000))
     assert ball_radius(values, ball.center) > RADIUS_FLOOR
-    (length, peel), peak = traced_peak(l3_best_peel, ball, values, 5)
+    (length, peel), peak = traced_peak(l3_best_peel, ball.members, values, 5)
     assert np.isfinite(length) and peel[0].size + peel[1].size == 8_000
     assert peak < 8 * MB
 
