@@ -128,6 +128,10 @@ def stats_from_points(points: np.ndarray) -> BallStats:
     )
 
 
+def stack_stats(stats: list[BallStats]) -> BallStats:
+    return BallStats(*map(np.array, zip(*[(s.count, s.sum, s.sumsq) for s in stats])))
+
+
 def stats_add_point(stats: BallStats, x: np.ndarray) -> BallStats:
     """Statistics after adding point x; stacked stats add x to every set.
 
@@ -196,8 +200,9 @@ class ModelChoice(Enum):
 class ModelVerdict:
     """Outcome of the three-way description-length competition for one ball.
 
-    ``parts`` holds the winner's two ascending member arrays: (left, right) for M2,
-    (core, residual) for M3, None for M1. ``split`` and ``peel_q`` derive from it.
+    ``parts`` holds the winner's two ascending member arrays, (left, right) for M2 and
+    (core, residual) for M3; ``split`` and ``peel_q`` derive from it. For M1 ``parts``
+    is None and ``stats`` holds the ball's stats that priced ``l1``; else it is None.
     """
 
     choice: ModelChoice
@@ -205,6 +210,7 @@ class ModelVerdict:
     l2_star: float
     l3_star: float
     parts: tuple[np.ndarray, np.ndarray] | None
+    stats: BallStats | None
 
     @property
     def split(self) -> tuple[np.ndarray, np.ndarray] | None:

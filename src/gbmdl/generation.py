@@ -14,13 +14,13 @@ import math
 import numpy as np
 
 from .core import (
-    BallStats,
     Dataset,
     GenerationResult,
     GranularBall,
     ModelChoice,
     ModelVerdict,
     squared_distances,
+    stack_stats,
     stats_add_point,
 )
 from .errors import DataQualityError
@@ -100,7 +100,7 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     The queue is FIFO and a verdict depends only on the ball and n_min, so the
     loop prices one generation of member arrays at a time (``evaluate_balls``):
     the verdict parts of a generation, in order, are the next one, so the trace
-    is the one-ball-at-a-time FIFO trace; a ball kept whole becomes a GranularBall.
+    is the one-ball-at-a-time FIFO trace. A ball kept whole keeps its verdict's stats.
     """
     n_min = adaptive_n_min(dataset.n, dataset.d)
     values = dataset.values
@@ -119,7 +119,7 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
         for members, verdict in zip(generation, verdicts):
             trace.append((members.size, verdict))
             if verdict.parts is None:
-                stable.append(GranularBall.from_members(values, members))
+                stable.append(GranularBall(members, verdict.stats))
                 continue
             children.append(verdict.parts[0])
             if verdict.choice is ModelChoice.TWO_BALL:
@@ -159,9 +159,7 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values
         return [], {}, pool.tolist()
 
     k, d = len(stable_balls), values.shape[1]
-    frozen = BallStats(count=np.array([b.stats.count for b in stable_balls]),
-                       sum=np.stack([b.stats.sum for b in stable_balls]),
-                       sumsq=np.array([b.stats.sumsq for b in stable_balls]))
+    frozen = stack_stats([b.stats for b in stable_balls])
     base = l1_length(frozen, d)
     # a block of p residuals grows p x k stacked stats; the background is column k
     dest = _first_minima(values[pool, None, :], k * d, lambda x: np.pad(

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (BallStats, ModelChoice, ModelVerdict, squared_distances, stats_from_points,
-                   stats_sse)
+                   stack_stats, stats_sse)
 
 LOG_2PI = math.log(2.0 * math.pi)
 SHELL_LOG_FLOOR = math.log(1e-300)
@@ -98,8 +98,8 @@ def log_shell_volume(d: int, r_out: float,
 
 
 Parts = tuple[np.ndarray, np.ndarray]
-# a gathered chunk of balls: sizes (B,), members (B, L), points (B, L, d) and stacked stats
-Block = tuple[np.ndarray, np.ndarray, np.ndarray, BallStats]
+# a gathered chunk of balls: sizes (B,), members (B, L), points (B, L, d), stacked and own stats
+Block = tuple[np.ndarray, np.ndarray, np.ndarray, BallStats, list[BallStats]]
 # a block scan, per ball: best length (+inf if infeasible), first part's size, scanned members
 Scan = tuple[np.ndarray, np.ndarray, np.ndarray]
 # the competition's explanations in order of preference on an exact tie
@@ -127,15 +127,14 @@ def _chunks(sizes: list[int], d: int):
 
 def _block(balls: list[np.ndarray], values: np.ndarray) -> Block:
     """The balls' member arrays padded to the largest size: sizes (B,), members (B, L),
-    points (B, L, d) and each ball's stats from its own rows. Padding repeats
-    sample 0; the scans key it +inf, so it sorts last and no feasible cut reads it."""
+    points (B, L, d) and each ball's stats from its own rows, stacked and one by one.
+    Padding repeats sample 0; keyed +inf, it sorts last and no feasible cut reads it."""
     sizes = np.array([ball.size for ball in balls])
     members = np.zeros((len(balls), sizes.max()), dtype=np.int64)
     members[np.arange(members.shape[1]) < sizes[:, None]] = np.concatenate(balls)
     pts = values[members]
     stats = [stats_from_points(pts[b, :size]) for b, size in enumerate(sizes.tolist())]
-    return sizes, members, pts, BallStats(sizes, np.stack([s.sum for s in stats]),
-                                          np.array([s.sumsq for s in stats]))
+    return sizes, members, pts, stack_stats(stats), stats
 
 
 def _sorted_prefix(members: np.ndarray, pts: np.ndarray,
@@ -167,7 +166,7 @@ def _parts(scan: Scan, b: int, size: int) -> Parts | None:
 
 def _best_splits(block: Block, n_min: int) -> Scan:
     """``l2_best_split`` of every ball in a gathered block."""
-    sizes, members, pts, _ = block
+    sizes, members, pts = block[:3]
     key = np.full(members.shape, np.inf)
     feasible = sizes >= 2 * n_min
     for b in np.flatnonzero(feasible).tolist():
@@ -228,7 +227,7 @@ def core_radius_bounds(farthest: np.ndarray, means: np.ndarray,
 def _best_peels(block: Block, n_min: int) -> Scan:
     """``l3_best_peel`` of every ball in a gathered block; column j is the core of
     j + 1 points."""
-    sizes, members, pts, stats = block
+    sizes, members, pts, stats, _ = block
     centers = (stats.sum / sizes[:, None]).T[..., None]   # (d, B, 1)
     dist = np.sqrt(squared_distances(np.moveaxis(pts, 2, 0), centers))
     sorted_members, sorted_pts, sorted_dist, core = _sorted_prefix(
@@ -301,9 +300,9 @@ def evaluate_balls(balls: list[np.ndarray], values: np.ndarray,
     of at most BLOCK_CELLS padded cells, which is gathered once and gives each
     ball its stats, then sorted and scanned by the split and the peel as array
     passes; only the principal direction, its projection and the measured core
-    radii are computed ball by ball. Only the winner's two parts are sorted.
-    Every length is the one-ball computation's, bit for bit, so the verdicts do
-    not depend on how the balls are grouped.
+    radii are computed ball by ball. Only the winner's two parts are sorted, and
+    an M1 verdict keeps the stats that priced it. Every length is the one-ball
+    computation's, bit for bit, so the verdicts do not depend on the grouping.
     """
     d = values.shape[1]
     verdicts: list = [None] * len(balls)
@@ -316,7 +315,7 @@ def evaluate_balls(balls: list[np.ndarray], values: np.ndarray,
         for b, (i, won) in enumerate(zip(run, winners)):
             parts = None if won == 0 else _parts((peel, split)[won - 1], b, balls[i].size)
             verdicts[i] = ModelVerdict(WINNERS[won], float(l1[b]), float(split[0][b]),
-                                       float(peel[0][b]), parts)
+                                       float(peel[0][b]), parts, None if won else block[4][b])
     return verdicts
 
 

@@ -5,9 +5,16 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from gbmdl import generation
+from gbmdl import core, generation, models
 from gbmdl.cli import load_csv
-from gbmdl.core import Dataset, GranularBall, ModelChoice, minmax_normalize, stats_add_point
+from gbmdl.core import (
+    Dataset,
+    GranularBall,
+    ModelChoice,
+    minmax_normalize,
+    stats_add_point,
+    stats_from_points,
+)
 from gbmdl.errors import DataQualityError
 from gbmdl.generation import (
     adaptive_n_min,
@@ -454,20 +461,63 @@ def test_initial_balls_are_member_arrays(monkeypatch):
 
 
 def test_granular_balls_are_built_only_for_returned_balls(monkeypatch):
-    # a generation is member arrays: a ball that stays whole becomes a GranularBall,
-    # and reattachment rebuilds each ball it grows; no split or peel part is built
+    # a generation is member arrays: a ball that stays whole becomes a GranularBall of
+    # the stats its verdict priced, and reattachment rebuilds each ball it grows; no
+    # split or peel part is built, and each ball's rows are summed once per build
     built = count_built_balls(monkeypatch)
-    winners = set()
-    reassign = generation.reassign_residuals
+    constructed, summed, winners = [], [], set()
+    post_init, reassign = GranularBall.__post_init__, generation.reassign_residuals
+
+    def recorded(ball):
+        post_init(ball)
+        constructed.append(ball)
+
+    def counted_sum(points):
+        summed.append(len(points))
+        return stats_from_points(points)
 
     def spy(pool, stable_balls, values):
         updated, attachments, background = reassign(pool, stable_balls, values)
         winners.update(attachments.values())
         return updated, attachments, background
 
+    monkeypatch.setattr(GranularBall, "__post_init__", recorded)
+    monkeypatch.setattr(core, "stats_from_points", counted_sum)
+    monkeypatch.setattr(models, "stats_from_points", counted_sum)
     monkeypatch.setattr(generation, "reassign_residuals", spy)
     result = generate(noisy_blobs())
     kept = [size for size, v in result.trace if v.choice is ModelChoice.SINGLE_BALL]
-    assert winners and len(kept) < len(result.trace)
-    assert len(built) == len(kept) + len(winners)
-    assert built[:len(kept)] == kept
+    assert (len(kept), len(winners), len(result.trace)) == (135, 39, 238)
+    assert len(built) == len(winners)
+    assert [ball.size for ball in constructed[:len(kept)]] == kept
+    # the winners are rebuilt in ball order, after every kept ball
+    want = constructed[:len(kept)]
+    for j, ball in zip(sorted(winners), constructed[len(kept):], strict=True):
+        want[j] = ball
+    assert len(result.stable_balls) == len(want)
+    assert all(got is ball for got, ball in zip(result.stable_balls, want))
+    assert len(summed) == len(result.trace) + len(winners)
+
+
+@pytest.mark.parametrize("name", ["iris", "wine", "noisy"])
+def test_returned_balls_keep_their_own_stats(name, request):
+    dataset = noisy_blobs() if name == "noisy" else \
+        minmax_normalize(load_csv(request.getfixturevalue(f"{name}_path")))
+    result = generate(dataset)
+    for ball in result.stable_balls:
+        want = stats_from_points(dataset.values[ball.members])
+        assert ball.stats.count == want.count
+        assert ball.stats.sum.tobytes() == want.sum.tobytes()
+        assert ball.stats.sumsq.hex() == want.sumsq.hex()
+        assert ball.center.tobytes() == (want.sum / want.count).tobytes()
+    sums = [ball.stats.sum for ball in result.stable_balls]
+    assert not any(np.may_share_memory(a, b) for i, a in enumerate(sums) for b in sums[:i])
+    # a kept ball holds its M1 verdict's stats unless reattachment grew it
+    m1 = [v for _, v in result.trace if v.choice is ModelChoice.SINGLE_BALL]
+    assert len(m1) == len(result.stable_balls)
+    for ball, verdict in zip(result.stable_balls, m1):
+        assert ball.stats is verdict.stats or ball.size > verdict.stats.count
+    assert all(v.stats is None for _, v in result.trace if v.choice is not ModelChoice.SINGLE_BALL)
+    stable, _, trace = generate_stable_balls(dataset)
+    m1 = [v for _, v in trace if v.choice is ModelChoice.SINGLE_BALL]
+    assert all(ball.stats is v.stats for ball, v in zip(stable, m1, strict=True))

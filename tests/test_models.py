@@ -656,9 +656,33 @@ class TestEvaluateBalls:
                 assert (g.parts is None) == (w_parts is None)
                 if w_parts is not None:
                     assert all(np.array_equal(a, b) for a, b in zip(g.parts, w_parts))
+                assert (g.stats is None) == (w_parts is not None)
+                if g.stats is not None:
+                    assert g.stats.sum.tobytes() == w.stats.sum.tobytes()
+                    assert g.stats.sumsq.hex() == w.stats.sumsq.hex()
 
     def test_no_balls(self):
         assert evaluate_balls([], np.zeros((3, 2)), 2) == []
+
+    def test_block_stats_are_the_from_members_stats(self):
+        # each ball is summed from its own rows, one at a time: summing a zero-padded
+        # block at once rounds the sums differently at d = 1 and the squared norms at
+        # several d, so a kept ball could not take its stats from such a block
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            d, scale = int(rng.integers(1, 33)), float(rng.choice([1e-3, 1.0, 1e3]))
+            values = rng.normal(scale=scale, size=(400, d))
+            balls = [np.sort(rng.choice(400, size=int(rng.integers(1, 301)), replace=False))
+                     for _ in range(int(rng.integers(1, 21)))]
+            sizes, _, _, stacked, own = models._block(balls, values)
+            assert len(own) == len(balls) and sizes.tolist() == [b.size for b in balls]
+            for b, ball in enumerate(balls):
+                want = GranularBall.from_members(values, ball).stats
+                for got in (own[b], BallStats(stacked.count[b], stacked.sum[b],
+                                              float(stacked.sumsq[b]))):
+                    assert got.count == want.count
+                    assert got.sum.tobytes() == want.sum.tobytes()
+                    assert got.sumsq.hex() == want.sumsq.hex()
 
 
 def one_gaussian(rng, d):
