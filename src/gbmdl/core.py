@@ -226,9 +226,9 @@ class GenerationResult:
     """Everything the generation stage produces.
 
     ``stable_balls`` are the final balls after residual attachment;
-    ``residual_background`` lists samples that stayed in the background;
-    ``ownership`` maps every sample to the stable ball with the nearest
-    center; ``trace`` records (ball size, verdict) in dequeue order.
+    ``residual_background`` holds the ascending int64 ids of the samples left in
+    the background; ``ownership`` maps every sample to the stable ball with the
+    nearest center; ``trace`` records (ball size, verdict) in dequeue order.
     """
 
     stable_balls: tuple[GranularBall, ...]

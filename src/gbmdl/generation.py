@@ -87,15 +87,15 @@ def initialize_balls(dataset: Dataset, k0: int) -> list[np.ndarray]:
     return [members for _, _, members in heap]
 
 
-def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[int],
+def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], np.ndarray,
                                                      list[tuple[int, ModelVerdict]]]:
     """Run the regeneration loop only; no residual attachment, no ownership.
 
     The minimum ball size (``adaptive_n_min``) and the initial ball count
     floor(sqrt(n)) come from the data shape, so the loop has no parameter.
-    Returns the stable balls, the peeled residual pool, and the decision
-    trace. Useful for inspecting the raw competition outcome;
-    ``generate`` wraps this with reassignment and final assignment.
+    Returns the stable balls, the residual pool (every peeled sample id, as one
+    ascending int64 array) and the decision trace. Useful for inspecting the raw
+    competition outcome; ``generate`` wraps this with reassignment and final assignment.
 
     The queue is FIFO and a verdict depends only on the ball and n_min, so the
     loop prices one generation of member arrays at a time (``evaluate_balls``):
@@ -111,7 +111,7 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
     verdicts = [evaluate_ball(generation[0], values, n_min)[0],
                 *evaluate_balls(generation[1:], values, n_min)]
     stable: list[GranularBall] = []
-    pool: list[int] = []
+    residuals = [np.empty(0, dtype=np.int64)]
     trace: list[tuple[int, ModelVerdict]] = []
 
     while generation:
@@ -125,11 +125,11 @@ def generate_stable_balls(dataset: Dataset) -> tuple[list[GranularBall], list[in
             if verdict.choice is ModelChoice.TWO_BALL:
                 children.append(verdict.parts[1])
             else:
-                pool.extend(verdict.parts[1].tolist())
+                residuals.append(verdict.parts[1])
         generation = children
         verdicts = evaluate_balls(generation, values, n_min)
 
-    return stable, sorted(pool), trace
+    return stable, np.sort(np.concatenate(residuals)), trace
 
 
 def _first_minima(rows: np.ndarray, cells_per_row: int, price) -> np.ndarray:
@@ -142,21 +142,21 @@ def _first_minima(rows: np.ndarray, cells_per_row: int, price) -> np.ndarray:
     return index
 
 
-def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values: np.ndarray
-                       ) -> tuple[list[GranularBall], dict[int, int], list[int]]:
+def reassign_residuals(pool: np.ndarray, stable_balls: list[GranularBall], values: np.ndarray
+                       ) -> tuple[list[GranularBall], dict[int, int], np.ndarray]:
     """Attach each residual to the cheapest destination, or keep it in the background.
 
     The attachment cost of a point is the increase in a ball's single-ball
     description length. The background codes a point uniformly over the unit
     hypercube, whose log-volume is 0, so it costs 0 nats.
-    Ball statistics are frozen at entry so the outcome is independent of
-    processing order; winning balls are rebuilt once at the end. Ties between
-    a ball and the background go to the ball, ties between balls to the lowest
-    ball index.
+    Ball statistics are frozen at entry, so the outcome does not depend on the order of
+    ``pool`` (int64 sample ids, taken as given); winning balls are rebuilt once at the end,
+    and the background keeps the pool's order. Ties between a ball and the background go
+    to the ball, ties between balls to the lowest ball index.
     """
-    pool = np.sort(np.asarray(pool, dtype=np.int64))
+    pool = np.asarray(pool, dtype=np.int64)
     if not stable_balls:
-        return [], {}, pool.tolist()
+        return [], {}, pool
 
     k, d = len(stable_balls), values.shape[1]
     frozen = stack_stats([b.stats for b in stable_balls])
@@ -169,8 +169,7 @@ def reassign_residuals(pool: list[int], stable_balls: list[GranularBall], values
     for j in np.unique(dest[attached]).tolist():
         merged = np.concatenate([stable_balls[j].members, pool[dest == j]])
         updated[j] = GranularBall.from_members(values, merged)
-    return updated, dict(zip(pool[attached].tolist(), dest[attached].tolist())), \
-        pool[~attached].tolist()
+    return updated, dict(zip(pool[attached].tolist(), dest[attached].tolist())), pool[~attached]
 
 
 def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.ndarray:
@@ -216,7 +215,7 @@ def generate(dataset: Dataset) -> GenerationResult:
     ownership = assign_samples(dataset, updated)
     return GenerationResult(
         stable_balls=tuple(updated),
-        residual_background=np.asarray(background, dtype=np.int64),
+        residual_background=background,
         ownership=ownership,
         trace=tuple(trace),
     )

@@ -237,7 +237,7 @@ class TestReassignResiduals:
         delta = l1_length(grown, 1) - l1_length(ball.stats, 1)
         assert delta == pytest.approx(0.5231, abs=1e-4)
         assert delta > 0
-        assert attachments == {} and background == [2]
+        assert attachments == {} and background.tolist() == [2]
         assert updated[0].members.tolist() == [0, 1]
 
     def test_nearby_residual_attaches(self):
@@ -247,7 +247,7 @@ class TestReassignResiduals:
         ball = GranularBall.from_members(values, np.arange(30))
         updated, attachments, background = reassign_residuals([30], [ball], values)
         assert attachments == {30: 0}
-        assert background == []
+        assert background.tolist() == []
         assert updated[0].size == 31
         assert 30 in updated[0].members
 
@@ -257,12 +257,12 @@ class TestReassignResiduals:
         values = np.clip(values, 0, 1)
         ball = GranularBall.from_members(values, np.arange(25))
         _, attachments, background = reassign_residuals([25], [ball], values)
-        assert background == [25]
+        assert background.tolist() == [25]
 
     def test_no_stable_balls_all_background(self):
         values = np.array([[0.1], [0.9]])
         updated, attachments, background = reassign_residuals([0, 1], [], values)
-        assert updated == [] and attachments == {} and background == [0, 1]
+        assert updated == [] and attachments == {} and background.tolist() == [0, 1]
 
     def test_destination_is_argmin(self, monkeypatch):
         rng = np.random.default_rng(25)
@@ -281,10 +281,14 @@ class TestReassignResiduals:
         for cells in (1, 5, 24, generation.BLOCK_CELLS):
             monkeypatch.setattr(generation, "BLOCK_CELLS", cells)
             updated, attachments, background = reassign_residuals(pool, balls, values)
-            results.append((attachments, background, [b.members.tolist() for b in updated]))
+            results.append((attachments, background.tolist(),
+                            [b.members.tolist() for b in updated]))
         assert all(result == results[0] for result in results)
         assert 0 in attachments.values() and 2 not in attachments.values()
         assert updated[2] is balls[2]
+        # the background keeps the pool's order
+        assert len(background) > 1 and reassign_residuals(pool[::-1], balls, values)[2].tolist() \
+            == background.tolist()[::-1]
         for idx in pool:
             deltas = [l1_length(stats_add_point(b.stats, values[idx]), 2)
                       - l1_length(b.stats, 2) for b in balls]
@@ -426,7 +430,7 @@ def test_generations_match_fifo_replay(name, request):
     stable, pool, trace = generate_stable_balls(dataset)
     want_stable, want_pool, want_trace = fifo_replay(dataset)
     assert [b.members.tolist() for b in stable] == [m.tolist() for m in want_stable]
-    assert pool == want_pool
+    assert pool.tolist() == want_pool
     assert len(trace) == len(want_trace)
     for (size, got), (want_size, want) in zip(trace, want_trace):
         assert (size, got.choice, got.peel_q) == (want_size, want.choice, want.peel_q)
@@ -521,3 +525,37 @@ def test_returned_balls_keep_their_own_stats(name, request):
     stable, _, trace = generate_stable_balls(dataset)
     m1 = [v for _, v in trace if v.choice is ModelChoice.SINGLE_BALL]
     assert all(ball.stats is v.stats for ball, v in zip(stable, m1, strict=True))
+
+
+@pytest.mark.parametrize("name", ["iris", "wine", "noisy"])
+def test_residual_ids_are_one_ascending_array(name, request):
+    # the pool and the background stay int64 arrays from the peel to the report
+    dataset = noisy_blobs() if name == "noisy" else \
+        minmax_normalize(load_csv(request.getfixturevalue(f"{name}_path")))
+    stable, pool, trace = generate_stable_balls(dataset)
+    peeled = [v.parts[1] for _, v in trace if v.choice is ModelChoice.CORE_RESIDUAL]
+    assert peeled and type(pool) is np.ndarray and pool.dtype == np.int64
+    assert (np.diff(pool) > 0).all()
+    assert np.array_equal(pool, np.sort(np.concatenate(peeled)))
+    background = generate(dataset).residual_background
+    assert type(background) is np.ndarray and background.dtype == np.int64
+    assert (np.diff(background) > 0).all() and np.isin(background, pool).all()
+    assert np.array_equal(background, reassign_residuals(pool, stable, dataset.values)[2])
+
+
+def test_reassignment_is_free_of_pool_order():
+    # statistics are frozen at entry, so no attachment depends on the order of the pool
+    dataset = noisy_blobs()
+    stable, pool, _ = generate_stable_balls(dataset)
+    shuffled = np.random.default_rng(29).permutation(pool)
+    assert not np.array_equal(shuffled, pool)
+    got = reassign_residuals(shuffled, stable, dataset.values)
+    want = reassign_residuals(pool, stable, dataset.values)
+    assert got[1] and got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        assert a.members.tolist() == b.members.tolist()
+        assert a.stats.count == b.stats.count
+        assert a.stats.sum.tobytes() == b.stats.sum.tobytes()
+        assert a.stats.sumsq.hex() == b.stats.sumsq.hex()
+    assert sorted(got[2]) == sorted(want[2])
