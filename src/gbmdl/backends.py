@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GranularBall, squared_distances
 from .errors import ConfigurationError
+from .models import BLOCK_CELLS
 
 BACKENDS = ("ac", "kmeanspp")
-KMEANS_RESTARTS = 10     # seeded k-means++ attempts per call; the lowest SSE wins
+KMEANS_RESTARTS = 10     # seeded k-means++ attempts per seed; the lowest SSE wins
 KMEANS_MAX_ITER = 300    # Lloyd iterations per attempt
 
 
@@ -86,26 +88,55 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     return np.unique(owner, return_inverse=True)[1]
 
 
-def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
-    """K-means with D^2 seeding and Lloyd iterations on the center vectors.
+def kmeanspp(centers: np.ndarray, K: int, seeds: Sequence[int]) -> np.ndarray:
+    """K-means with D^2 seeding and Lloyd iterations on the center vectors, once per seed.
 
-    Runs ``KMEANS_RESTARTS`` attempts side by side as arrays, restart r drawing
-    from SeedSequence([seed % 2**63, r]), and keeps the lowest within-cluster
-    SSE (ties: lowest restart). A D^2 draw inverts the cumulative distribution
-    as ``Generator.choice(n, p=...)`` does. An empty cluster steals the point
-    farthest from its centroid among clusters that keep a member. A restart
-    stops when its labels repeat any earlier labels of its own (a fixed point
-    or a cycle, such as the repair moving a point to and fro between coinciding
-    centroids), or after ``KMEANS_MAX_ITER`` steps. Same seed, same labels.
+    Returns one labelling per seed, shape (len(seeds), n). Seed s runs
+    ``KMEANS_RESTARTS`` restarts, restart r drawing from SeedSequence([s % 2**63, r]),
+    and keeps the lowest within-cluster SSE (ties: lowest restart). The (seed,
+    restart) pairs run in order, in lockstep groups of ``BLOCK_CELLS // (K·n)``
+    restarts (at least one). A group's generators and buffers live only while it
+    runs. Its (restarts, K, n) buffers hold at most max(``BLOCK_CELLS``, K·n) cells,
+    and its (d, restarts, n) ones d/K times that, so beyond each seed's best labelling
+    so far memory does not grow with the number of seeds. Every restart keeps its own
+    generator, draws and label history, so a seed's labels equal those of a call on
+    that seed alone.
     """
     points = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    n, d = points.shape
+    n = len(points)
     if K < 1 or n < K:
         raise ConfigurationError(f"cannot form {K} clusters from {n} centers")
     R = KMEANS_RESTARTS
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r])) for r in range(R)]
-
+    entropy = [seed % 2 ** 63 for seed in seeds]
     cols = np.ascontiguousarray(points.T)
+    labels = np.empty((len(entropy), n), dtype=np.int64)
+    best = [np.inf] * len(entropy)
+    step = max(1, BLOCK_CELLS // (K * n))
+    for start in range(0, len(entropy) * R, step):
+        group = range(start, min(start + step, len(entropy) * R))
+        rngs = [np.random.default_rng(np.random.SeedSequence([entropy[i // R], i % R]))
+                for i in group]
+        group_labels, sse = _restarts(cols, K, rngs)
+        # the first restart of a seed always counts, so a labelling exists whatever its SSE
+        for i, row, cost in zip(group, group_labels, sse.tolist()):
+            if i % R == 0 or cost < best[i // R]:
+                best[i // R] = cost
+                labels[i // R] = row
+    return labels
+
+
+def _restarts(cols: np.ndarray, K: int,
+              rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep k-means++ restarts, one per generator: their labels and final SSEs.
+
+    A D^2 draw inverts the cumulative distribution as ``Generator.choice(n, p=...)``
+    does. An empty cluster steals the point farthest from its centroid among
+    clusters that keep a member. A restart stops when its labels repeat any earlier
+    labels of its own (a fixed point or a cycle, such as the repair moving a point to
+    and fro between coinciding centroids), or after ``KMEANS_MAX_ITER`` steps.
+    """
+    d, n = cols.shape
+    R = len(rngs)
     chosen = np.empty((R, K), dtype=np.intp)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
     d2 = np.full((R, n), np.inf)
@@ -169,9 +200,8 @@ def kmeanspp(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
         centroids[:, live] = sums.reshape(d, -1, K) / counts
 
     residual = np.moveaxis(centroids, 0, 2)[np.arange(R)[:, None], labels]
-    residual -= points               # its square equals that of points - centroid
-    sse = np.square(residual, out=residual).reshape(R, n * d).sum(axis=1)
-    return labels[int(np.argmin(sse))].copy()   # argmin keeps the first of equal SSEs
+    residual -= cols.T               # its square equals that of points - centroid
+    return labels, np.square(residual, out=residual).reshape(R, n * d).sum(axis=1)
 
 
 def reads_seed(stable_balls: list[GranularBall], K: int, backend: str) -> bool:
@@ -183,12 +213,21 @@ def reads_seed(stable_balls: list[GranularBall], K: int, backend: str) -> bool:
     return backend == "kmeanspp" and len(stable_balls) > K
 
 
+def ball_centers(stable_balls: list[GranularBall]) -> np.ndarray:
+    """The balls' centers as the rows of one (balls, d) array, the points a backend clusters."""
+    return np.stack([b.center for b in stable_balls])
+
+
 def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,
-                           seed: int = 0) -> BallClustering:
+                           seed: int = 0, ball_labels: np.ndarray | None = None) -> BallClustering:
     """Cluster ball centers into K clusters, or pass balls through directly.
 
     When the ball count does not exceed K each ball is its own cluster and no
-    backend runs at all. Otherwise the centers go to the chosen backend.
+    backend runs at all. Otherwise the centers go to the chosen backend, k-means++
+    as a one-seed ``kmeanspp`` call. A caller that already has the labelling, such
+    as one row of a many-seed ``kmeanspp`` call, passes it as ``ball_labels``: it
+    must hold one integer label in [0, K) per ball, and it is wrapped as it is,
+    with neither the passthrough nor a backend run.
     """
     count = len(stable_balls)
     if count < 1:
@@ -198,12 +237,18 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
+    if ball_labels is not None:
+        labels = np.asarray(ball_labels)
+        if (labels.shape != (count,) or labels.dtype.kind not in "iu"
+                or labels.min() < 0 or labels.max() >= K):
+            raise ConfigurationError(f"ball_labels must hold one integer in [0, {K}) per ball")
+        return BallClustering(ball_labels=labels)
     if count <= K:
         return BallClustering(ball_labels=np.arange(count, dtype=np.int64))
 
-    centers = np.stack([b.center for b in stable_balls])
+    centers = ball_centers(stable_balls)
     if backend == "ac":
         labels = agglomerative_ward(centers, K)
     else:
-        labels = kmeanspp(centers, K, seed)
+        labels = kmeanspp(centers, K, [seed])[0]
     return BallClustering(ball_labels=labels)

@@ -24,7 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .backends import BACKENDS, cluster_or_passthrough, reads_seed
+from . import backends
+from .backends import BACKENDS, ball_centers, cluster_or_passthrough, reads_seed
 from .core import Dataset, GranularBall, minmax_normalize
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import generate
@@ -33,7 +34,8 @@ from .metrics import acc, ari, nmi
 # Seeded runs count balls * K * (d + 14) * runs work: in a fit to in-process k-means++
 # times, a Lloyd step's passes besides its d distance passes cost about 14 more. From
 # this much work on, two forked workers beat one process; each further worker needs
-# half this much more.
+# half this much more. With one lockstep call per block (random 4-d centers, K = 8,
+# 20 runs, 2 CPUs), two workers lost at 5.8e5 and won from 8.6e5 on.
 POOL_MIN_WORK = 1_000_000
 
 
@@ -220,24 +222,14 @@ def _dataset(values: np.ndarray, labels: np.ndarray | None, offset: int,
     return Dataset(values=values, labels=labels)
 
 
-def _cluster_seed(balls: list[GranularBall], k: int, backend: str,
-                  seed: int) -> tuple[np.ndarray, float]:
-    """One seeded run: its ball labels and the seconds its clustering took."""
+def _cluster_block(centers: np.ndarray, k: int, seeds: range) -> list[tuple[np.ndarray, float]]:
+    """One k-means++ call for a block of seeds: each seed's (ball labels, seconds),
+    where every seed's seconds is an equal share of the call's."""
     t = time.perf_counter()
-    labels = cluster_or_passthrough(balls, k, backend, seed=seed).ball_labels
-    return labels, time.perf_counter() - t
-
-
-_worker_balls: list[GranularBall] = []   # set once in each pool worker, never in the parent
-
-
-def _init_worker(balls: list[GranularBall]) -> None:
-    global _worker_balls
-    _worker_balls = balls
-
-
-def _worker_seed(k: int, backend: str, seed: int) -> tuple[np.ndarray, float]:
-    return _cluster_seed(_worker_balls, k, backend, seed)
+    # looked up at call time, so a wrapper installed on the module sees the call
+    labels = backends.kmeanspp(centers, k, seeds)
+    seconds = (time.perf_counter() - t) / len(seeds)
+    return [(row, seconds) for row in labels]
 
 
 def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
@@ -245,31 +237,39 @@ def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
     """Every seed's (ball labels, seconds), in seed order.
 
     A clustering that ignores the seed runs once, and the later seeds reuse its
-    labels at 0 seconds. Where fork and a second CPU exist and the work reaches
-    ``POOL_MIN_WORK``, worker processes, at most one per CPU and per seed, take the
-    seeds in contiguous chunks of ⌈runs / workers⌉. Fork hands the workers the
-    balls without pickling, and only the labels and timings come back, so the
-    labels are those of an in-process run.
+    labels at 0 seconds. k-means++ takes the seeds in one call per block of seeds,
+    each seed timed as an equal share of its call. Where fork and a second CPU exist
+    and the work reaches ``POOL_MIN_WORK``, worker processes, at most one per CPU and
+    per seed, take one contiguous block of ⌈runs / workers⌉ seeds each; otherwise
+    all the seeds are one block in this process. A worker gets the centers and its
+    seeds, and only the labels and timings come back, so the labels are those of an
+    in-process run. Back in this process, each seed's labelling is checked and
+    wrapped by ``cluster_or_passthrough``, as the seedless path's is.
     """
     if not reads_seed(balls, k, backend):
-        labels, seconds = _cluster_seed(balls, k, backend, seeds[0])
-        return [(labels, seconds)] + [(labels, 0.0)] * (len(seeds) - 1)
+        t = time.perf_counter()
+        labels = cluster_or_passthrough(balls, k, backend, seed=seeds[0]).ball_labels
+        return [(labels, time.perf_counter() - t)] + [(labels, 0.0)] * (len(seeds) - 1)
+    centers = ball_centers(balls)
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        work = len(balls) * k * (balls[0].center.size + 14) * len(seeds)
+        work = len(balls) * k * (centers.shape[1] + 14) * len(seeds)
         workers = min(len(os.sched_getaffinity(0)), len(seeds), 2 * work // POOL_MIN_WORK)
     if workers < 2:
-        return [_cluster_seed(balls, k, backend, seed) for seed in seeds]
+        runs = _cluster_block(centers, k, seeds)
+    else:
+        # imported here: the pool costs import time that in-process runs never pay.
+        # Fork, not spawn: a spawned worker would import numpy and gbmdl afresh
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-    # imported here: the pool costs import time that in-process runs never pay. Fork,
-    # not spawn: a spawned worker would import numpy and gbmdl afresh and unpickle the balls
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                             initializer=_init_worker, initargs=(balls,)) as pool:
-        return list(pool.map(partial(_worker_seed, k, backend), seeds,
-                             chunksize=-(-len(seeds) // workers)))
+        size = -(-len(seeds) // workers)
+        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            runs = [run for block in pool.map(partial(_cluster_block, centers, k), blocks)
+                    for run in block]
+    return [(cluster_or_passthrough(balls, k, backend, seed=seed, ball_labels=labels).ball_labels,
+             seconds) for seed, (labels, seconds) in zip(seeds, runs)]
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -278,8 +278,10 @@ def run_pipeline(config: RunConfig) -> dict:
     The report is the dict the CLI prints, with the keys config, dataset,
     generation, runs and summary in that order. Generation is deterministic,
     so it runs once and is shared by all seeded backend runs (run i uses
-    seed + i). Enough seeded k-means++ work is shared among forked worker
-    processes (``_seeded_runs``); the report is the same either way.
+    seed + i). k-means++ clusters a block of seeds per call, all seeds in one
+    call or, with enough work, one contiguous block per forked worker process
+    (``_seeded_runs``); the report is the same either way. A run's seconds is an
+    equal share of its call's time.
     """
     dataset = load_csv(config.input, config.label_col)
     if dataset.labels is not None and dataset.n < 2:

@@ -30,6 +30,43 @@ def ulp_spaced(seed: int) -> np.ndarray:
     return base + np.spacing(base) * rng.integers(0, top, size=shape)
 
 
+def replay_cases(d: int) -> list[tuple[str, np.ndarray, int, int]]:
+    """(name, centers, K, seed) inputs at d features on which k-means++ meets every branch."""
+    n = 36
+    rng = np.random.default_rng(23 + d)
+    # the first n points of the quarter lattice {0, 1/4, 2/4, 3/4}^d: exact sums, many ties
+    lattice = np.zeros((n, d))
+    lattice[:, :3] = (np.arange(n)[:, None] // 4 ** np.arange(min(d, 3)) % 4) / 4.0
+    # fewer distinct rows than K = 8 forces coinciding centroids, so a
+    # cluster comes out empty and the repair runs
+    duplicates = rng.random((3, d))[rng.integers(0, 3, n)]
+    # all rows equal: every D^2 draw after the first sees a zero total
+    identical = np.repeat(rng.random((1, d)), n, axis=0)
+    inputs = {"random": rng.random((n, d)), "lattice": lattice[rng.permutation(n)],
+              "duplicates": duplicates, "identical": identical}
+    cases = [(name, centers, K, seed) for name, centers in inputs.items()
+             for seed, K in enumerate((1, 2, 3, 8, n))]
+
+    # at seed 21, restarts 4 and 5 seed centroids at 0, 2 and 10; the one at 2
+    # loses both its points at the second step and is repaired, while the
+    # other eight restarts stop after two steps
+    line = np.zeros((8, d))
+    line[:, 0] = [0.0, 0.99, 0.99, 2.0, 5.9, 6.1, 6.1, 10.0]
+    cases.append(("line", line, 3, 21))
+
+    # from K = 256 on, the ranks and the labels take uint16 instead of uint8
+    many = rng.random((260, d))
+    return cases + [("many", many, K, K) for K in (255, 256)]
+
+
+def cycling_centers() -> np.ndarray:
+    # three rows repeated plus one stray row at K = 6: every restart of seed 0 cycles
+    # with period 4, and restarts 0, 2 and 6 stop two steps after the other
+    # seven, so they keep iterating after their neighbours have stopped
+    rng = np.random.default_rng(92)
+    return np.vstack([rng.random((3, 2))[np.arange(11) % 3], rng.random((1, 2))])
+
+
 class TestClusterOrPassthrough:
     def test_passthrough_when_few_balls(self):
         values = np.array([[0.1], [0.5], [0.9]])
@@ -68,6 +105,28 @@ class TestClusterOrPassthrough:
             for K in (2, 4):
                 with pytest.raises(ConfigurationError, match="unknown backend"):
                     cluster_or_passthrough(balls, K=K, backend=backend)
+
+    def test_given_labelling_is_checked_and_wrapped(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a backend ran")
+
+        monkeypatch.setattr(backends, "agglomerative_ward", refuse)
+        monkeypatch.setattr(backends, "kmeanspp", refuse)
+        balls = balls_from_rows(np.random.default_rng(5).random((6, 2)))
+        labels = np.array([2, 0, 1, 0, 2, 2])
+        clustering = cluster_or_passthrough(balls, K=3, backend="kmeanspp", ball_labels=labels)
+        assert clustering.ball_labels is labels
+        # one integer in [0, K) per ball, or the labelling is refused
+        for bad in (labels[:5], labels.reshape(2, 3), labels + 1, labels - 1,
+                    labels.astype(np.float64)):
+            with pytest.raises(ConfigurationError, match="ball_labels"):
+                cluster_or_passthrough(balls, K=3, backend="kmeanspp", ball_labels=bad)
+
+    def test_ball_centers_stack_the_centers(self):
+        values = np.random.default_rng(6).random((5, 3))
+        centers = backends.ball_centers(balls_from_rows(values))
+        assert centers.shape == (5, 3)
+        assert np.array_equal(centers, values)
 
     def test_no_balls_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -181,28 +240,28 @@ class TestWard:
 class TestKMeansPP:
     def test_more_clusters_than_centers_rejected(self):
         with pytest.raises(ConfigurationError, match=r"^cannot form 3 clusters from 2 centers$"):
-            kmeanspp(np.array([[0.0], [1.0]]), 3, seed=0)
+            kmeanspp(np.array([[0.0], [1.0]]), 3, [0])
 
     def test_k_equals_count_zero_sse(self):
         centers = np.random.default_rng(4).random((6, 2))
-        labels = kmeanspp(centers, 6, seed=0)
+        labels = kmeanspp(centers, 6, [0])[0]
         assert sorted(labels.tolist()) == list(range(6))
 
     def test_same_seed_same_labels(self):
         centers = np.random.default_rng(5).random((25, 3))
-        a = kmeanspp(centers, 4, seed=9)
-        b = kmeanspp(centers, 4, seed=9)
+        a = kmeanspp(centers, 4, [9])[0]
+        b = kmeanspp(centers, 4, [9])[0]
         assert np.array_equal(a, b)
 
     def test_repair_never_empties_a_donor_cluster(self):
         # stealing the farthest point for one empty cluster must not empty another
-        labels = kmeanspp(np.array([[1.0], [3.0], [3.0], [3.0]]), 3, seed=0)
+        labels = kmeanspp(np.array([[1.0], [3.0], [3.0], [3.0]]), 3, [0])[0]
         assert set(labels.tolist()) == {0, 1, 2}
 
     def test_tight_pairs_co_labeled_for_many_seeds(self):
         centers = np.array([[0.0, 0.0], [0.02, 0.0], [1.0, 1.0], [1.0, 0.98]])
         for seed in range(10):
-            labels = kmeanspp(centers, 2, seed=seed)
+            labels = kmeanspp(centers, 2, [seed])[0]
             assert labels[0] == labels[1] != labels[2]
             assert labels[2] == labels[3]
 
@@ -234,7 +293,7 @@ class TestKMeansPP:
             K = int(rng.integers(4, 9))
             blob_centers = rng.random((K, 2)) * 4
             points = np.vstack([rng.normal(c, 0.08, size=(12, 2)) for c in blob_centers])
-            seeded = kmeanspp(points, K, seed=trial)
+            seeded = kmeanspp(points, K, [trial])[0]
             centroids = np.stack([points[seeded == c].mean(axis=0) for c in range(K)])
             sse_pp = float(((points - centroids[seeded]) ** 2).sum())
             sse_rand = random_init_lloyd(points, K, seed=trial)
@@ -245,46 +304,21 @@ class TestKMeansPP:
     def test_translation_invariance(self):
         rng = np.random.default_rng(20)
         centers = rng.random((15, 2))
-        a = kmeanspp(centers, 3, seed=2)
-        b = kmeanspp(centers + np.array([5.0, -3.0]), 3, seed=2)
+        a = kmeanspp(centers, 3, [2])[0]
+        b = kmeanspp(centers + np.array([5.0, -3.0]), 3, [2])[0]
         assert np.array_equal(a, b)
 
     def test_all_labels_used(self):
         rng = np.random.default_rng(22)
         centers = rng.random((30, 2))
-        labels = kmeanspp(centers, 7, seed=0)
+        labels = kmeanspp(centers, 7, [0])[0]
         assert set(labels.tolist()) == set(range(7))
 
     @pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 13, 64])
     def test_matches_per_centroid_replay(self, d):
-        n = 36
-        rng = np.random.default_rng(23 + d)
-        # the first n points of the quarter lattice {0, 1/4, 2/4, 3/4}^d: exact sums, many ties
-        lattice = np.zeros((n, d))
-        lattice[:, :3] = (np.arange(n)[:, None] // 4 ** np.arange(min(d, 3)) % 4) / 4.0
-        # fewer distinct rows than K = 8 forces coinciding centroids, so a
-        # cluster comes out empty and the repair runs
-        duplicates = rng.random((3, d))[rng.integers(0, 3, n)]
-        # all rows equal: every D^2 draw after the first sees a zero total
-        identical = np.repeat(rng.random((1, d)), n, axis=0)
-        inputs = {"random": rng.random((n, d)), "lattice": lattice[rng.permutation(n)],
-                  "duplicates": duplicates, "identical": identical}
-        for name, centers in inputs.items():
-            for seed, K in enumerate((1, 2, 3, 8, n)):
-                labels = kmeanspp(centers, K, seed=seed)
-                assert np.array_equal(labels, kmeanspp_replay(centers, K, seed=seed)), (name, K)
-
-        # at seed 21, restarts 4 and 5 seed centroids at 0, 2 and 10; the one at 2
-        # loses both its points at the second step and is repaired, while the
-        # other eight restarts stop after two steps
-        line = np.zeros((8, d))
-        line[:, 0] = [0.0, 0.99, 0.99, 2.0, 5.9, 6.1, 6.1, 10.0]
-        assert np.array_equal(kmeanspp(line, 3, seed=21), kmeanspp_replay(line, 3, seed=21))
-
-        # from K = 256 on, the ranks and the labels take uint16 instead of uint8
-        many = rng.random((260, d))
-        for K in (255, 256):
-            assert np.array_equal(kmeanspp(many, K, seed=K), kmeanspp_replay(many, K, seed=K)), K
+        for name, centers, K, seed in replay_cases(d):
+            labels = kmeanspp(centers, K, [seed])[0]
+            assert np.array_equal(labels, kmeanspp_replay(centers, K, seed=seed)), (name, K)
 
     def test_seeding_distances_sum_features_in_index_order(self):
         # A's squared offset from O = 0 is 1 plus 31 terms of 1.375² · 2^-54, each under
@@ -312,15 +346,31 @@ class TestKMeansPP:
         points[1, 1] = next(t for t in t0 + np.spacing(t0) * np.arange(-64, 65)
                             if second_draw(a, t) != second_draw(a_row, t))
         assert second_draw(a, points[1, 1]) == 1   # B second, so A last
-        assert kmeanspp(points, 3, seed=0).tolist() == [2, 1, 0]
+        assert kmeanspp(points, 3, [0])[0].tolist() == [2, 1, 0]
 
     def test_each_restart_checks_its_own_label_history(self):
-        # three rows repeated plus one stray row at K = 6: every restart cycles
-        # with period 4, and restarts 0, 2 and 6 stop two steps after the other
-        # seven, so they keep iterating after their neighbours have stopped
-        rng = np.random.default_rng(92)
-        centers = np.vstack([rng.random((3, 2))[np.arange(11) % 3], rng.random((1, 2))])
-        assert np.array_equal(kmeanspp(centers, 6, seed=0), kmeanspp_replay(centers, 6, seed=0))
+        centers = cycling_centers()
+        assert np.array_equal(kmeanspp(centers, 6, [0])[0], kmeanspp_replay(centers, 6, seed=0))
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 13, 64])
+    def test_seeds_match_one_at_a_time_across_group_boundaries(self, monkeypatch, d):
+        # restarts run alone at 1, K·n − 1 and K·n cells, three to a group at
+        # 3·K·n + 1, so groups straddle seeds, and all fifty at once at 2^30. The
+        # seeds start at each case's own, which meets the case's branch. The 260-row
+        # inputs, there for the rank dtype, would take most of a minute.
+        cases = [case for case in replay_cases(d) if case[0] != "many"]
+        if d == 2:
+            cases.append(("cycling", cycling_centers(), 6, 0))
+        for name, centers, K, seed in cases:
+            seeds = range(seed, seed + 5)
+            want = [kmeanspp_replay(centers, K, seed=s) for s in seeds]
+            cells = K * len(centers)
+            for block in (1, cells - 1, cells, 3 * cells + 1, 2 ** 30):
+                monkeypatch.setattr(backends, "BLOCK_CELLS", block)
+                got = kmeanspp(centers, K, seeds)
+                assert got.shape == (5, len(centers)) and got.dtype == np.int64
+                for s, row, expected in zip(seeds, got, want):
+                    assert np.array_equal(row, expected), (name, K, s, block)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -333,7 +383,7 @@ class TestKMeansPP:
         centers = np.asarray(cells, dtype=np.float64).reshape(n, d) / levels
         K = data.draw(st.integers(1, n))
         seed = data.draw(st.integers(0, 2 ** 64 - 1))
-        assert np.array_equal(kmeanspp(centers, K, seed), kmeanspp_replay(centers, K, seed))
+        assert np.array_equal(kmeanspp(centers, K, [seed])[0], kmeanspp_replay(centers, K, seed))
 
     @pytest.mark.parametrize("d, n", [(64, 36), (4, 600)])
     def test_cycling_lloyd_stops_before_the_cap(self, monkeypatch, d, n):
@@ -344,5 +394,5 @@ class TestKMeansPP:
         labels = []
         for cap in (299, 300):
             monkeypatch.setattr(backends, "KMEANS_MAX_ITER", cap)
-            labels.append(kmeanspp(centers, 8, seed=0))
+            labels.append(kmeanspp(centers, 8, [0])[0])
         assert np.array_equal(*labels)

@@ -373,6 +373,26 @@ class TestRunPipeline:
         assert 1 < len(labellings) < 20        # some runs repeat an earlier labelling
         assert len(calls) == 3 * len(labellings)
 
+    def test_seeded_runs_make_one_kmeanspp_call(self, iris_path, monkeypatch):
+        calls = []
+        kmeanspp = backends.kmeanspp
+
+        def recorded(centers, K, seeds):
+            calls.append(list(seeds))
+            return kmeanspp(centers, K, seeds)
+
+        monkeypatch.setattr(backends, "kmeanspp", recorded)
+        report = run_pipeline(RunConfig(input=iris_path, backend="kmeanspp", runs=20))
+        assert calls == [list(range(20))]
+        seconds = {row["seconds"] for row in report["runs"]}
+        assert len(seconds) == 1 and seconds.pop() > 0.0
+
+    def test_each_seeded_labelling_passes_cluster_or_passthrough(self, iris_path,
+                                                                   monkeypatch):
+        calls = record_clusterings(monkeypatch)
+        run_pipeline(RunConfig(input=iris_path, backend="kmeanspp", runs=20, seed=5))
+        assert_one_clustering_per_seed(calls, iris_path, 3, range(5, 25))
+
     def test_deterministic_backend_zero_std(self, blob_csv):
         report = run_pipeline(RunConfig(input=blob_csv, backend="ac", runs=3))
         assert report["summary"]["ari_std"] == 0.0
@@ -440,6 +460,29 @@ class TestRunPipeline:
         assert reports[0] == reports[1]
 
 
+def record_clusterings(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Wrap the CLI's ``cluster_or_passthrough``; returns each call's (seed, ball labels)."""
+    calls = []
+    wrapped = cli.cluster_or_passthrough
+
+    def recorded(stable_balls, K, backend, seed=0, ball_labels=None):
+        clustering = wrapped(stable_balls, K, backend, seed=seed, ball_labels=ball_labels)
+        calls.append((seed, clustering.ball_labels))
+        return clustering
+
+    monkeypatch.setattr(cli, "cluster_or_passthrough", recorded)
+    return calls
+
+
+def assert_one_clustering_per_seed(calls, path, K, seeds):
+    # every seed's k-means++ labelling was wrapped in this process, in seed order
+    result = generate(minmax_normalize(load_csv(path)))
+    centers = backends.ball_centers(list(result.stable_balls))
+    assert [seed for seed, _ in calls] == list(seeds)
+    assert np.array_equal(np.stack([labels for _, labels in calls]),
+                          backends.kmeanspp(centers, K, seeds))
+
+
 def force_pool(monkeypatch) -> list[int]:
     """Send every seeded run to the worker pool; returns each pool's worker count."""
     started = []
@@ -472,14 +515,21 @@ class TestWorkerPool:
         assert all(row["seconds"] > 0.0 for row in timed["runs"])
         assert multiprocessing.active_children() == []
 
+    def test_each_pool_labelling_passes_cluster_or_passthrough(self, wine_path, monkeypatch):
+        started = force_pool(monkeypatch)
+        calls = record_clusterings(monkeypatch)
+        run_pipeline(RunConfig(input=wine_path, backend="kmeanspp", runs=7, seed=2))
+        assert started == [min(len(os.sched_getaffinity(0)), 7)]
+        assert_one_clustering_per_seed(calls, wine_path, 3, range(2, 9))
+
     def test_worker_error_exits_2_and_leaves_no_child(self, iris_path, monkeypatch, capsys):
         started = force_pool(monkeypatch)
         kmeanspp = backends.kmeanspp
 
-        def fail_on_seed_3(centers, K, seed):
-            if seed == 3:
+        def fail_on_seed_3(centers, K, seeds):
+            if 3 in seeds:
                 raise ConfigurationError(f"no clustering in process {os.getpid()}")
-            return kmeanspp(centers, K, seed)
+            return kmeanspp(centers, K, seeds)
 
         monkeypatch.setattr(backends, "kmeanspp", fail_on_seed_3)
         assert main(["--input", iris_path, "--backend", "kmeanspp", "--runs", "4"]) == 2

@@ -132,14 +132,26 @@ def test_peel_scan_memory_is_bounded(layout):
 
 
 def test_kmeanspp_memory_is_bounded():
-    # the ten restarts share two 10 x 20 x 5000 float64 buffers of 8 MB each, and
-    # their cycle histories keep one byte per label: 690 states of 5 KB here.
-    # Forming every restart's 8-feature differences at once would take 64 MB.
+    # K·n = 100,000 cells exceed BLOCK_CELLS, so the ten restarts run one at a time,
+    # each with two 20 x 5000 float64 buffers of 0.8 MB and a cycle history of one
+    # byte per label. Forming all ten restarts' 8-feature differences at once would
+    # take 64 MB.
     rng = np.random.default_rng(3)
     centers = rng.random((5_000, 8))
-    labels, peak = traced_peak(kmeanspp, centers, 20, 0)
-    assert set(labels.tolist()) == set(range(20))
+    labels, peak = traced_peak(kmeanspp, centers, 20, [0])
+    assert set(labels[0].tolist()) == set(range(20))
     assert peak < 32 * MB
+
+
+def test_kmeanspp_memory_does_not_grow_with_restarts():
+    # 5,000 seeds are 50,000 restarts, run 1,213 at a time (BLOCK_CELLS // 54 cells);
+    # only each seed's best labelling so far outlives its group. Building every
+    # restart's generator up front takes 44 MB.
+    rng = np.random.default_rng(4)
+    centers = rng.random((18, 4))
+    labels, peak = traced_peak(kmeanspp, centers, 3, range(5_000))
+    assert labels.shape == (5_000, 18)
+    assert peak < 16 * MB
 
 
 def test_contingency_memory_is_linear():
