@@ -91,32 +91,32 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
 def kmeanspp(centers: np.ndarray, K: int, seeds: Sequence[int]) -> np.ndarray:
     """K-means with D^2 seeding and Lloyd iterations on the center vectors, once per seed.
 
-    Returns one labelling per seed, shape (len(seeds), n). Seed s runs
-    ``KMEANS_RESTARTS`` restarts, restart r drawing from SeedSequence([s % 2**63, r]),
-    and keeps the lowest within-cluster SSE (ties: lowest restart). The (seed,
-    restart) pairs run in order, in lockstep groups of ``BLOCK_CELLS // (K·n)``
-    restarts (at least one). A group's generators and buffers live only while it
-    runs. Its (restarts, K, n) buffers hold at most max(``BLOCK_CELLS``, K·n) cells,
-    and its (d, restarts, n) ones d/K times that, so beyond each seed's best labelling
-    so far memory does not grow with the number of seeds. Every restart keeps its own
-    generator, draws and label history, so a seed's labels equal those of a call on
-    that seed alone.
+    Returns one labelling per seed, shape (len(seeds), n). Seed s draws one
+    (``KMEANS_RESTARTS``, K) array of uniforms from ``default_rng(s % 2**63)``, and
+    restart r seeds its centres from row r. Each seed keeps its restarts' lowest
+    within-cluster SSE (ties: lowest restart). Every seed's uniforms are drawn up
+    front, K·``KMEANS_RESTARTS`` floats per seed. The (seed, restart) pairs then run
+    in order, in lockstep groups of ``BLOCK_CELLS // (K·n)`` restarts (at least one).
+    A group's buffers live only while it runs. Its (restarts, K, n) buffers hold at
+    most max(``BLOCK_CELLS``, K·n) cells, and its (d, restarts, n) ones d/K times
+    that, so beyond each seed's uniforms and best labelling so far memory does not
+    grow with the number of seeds. Every restart has its own row of uniforms and its
+    own label history, so a seed's labels equal those of a call on that seed alone.
     """
     points = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     n = len(points)
     if K < 1 or n < K:
         raise ConfigurationError(f"cannot form {K} clusters from {n} centers")
     R = KMEANS_RESTARTS
-    entropy = [seed % 2 ** 63 for seed in seeds]
+    draws = np.array([np.random.default_rng(seed % 2 ** 63).random((R, K))
+                      for seed in seeds]).reshape(-1, K)
     cols = np.ascontiguousarray(points.T)
-    labels = np.empty((len(entropy), n), dtype=np.int64)
-    best = [np.inf] * len(entropy)
+    labels = np.empty((len(seeds), n), dtype=np.int64)
+    best = [np.inf] * len(seeds)
     step = max(1, BLOCK_CELLS // (K * n))
-    for start in range(0, len(entropy) * R, step):
-        group = range(start, min(start + step, len(entropy) * R))
-        rngs = [np.random.default_rng(np.random.SeedSequence([entropy[i // R], i % R]))
-                for i in group]
-        group_labels, sse = _restarts(cols, K, rngs)
+    for start in range(0, len(draws), step):
+        group = range(start, min(start + step, len(draws)))
+        group_labels, sse = _restarts(cols, K, draws[start:group.stop])
         # the first restart of a seed always counts, so a labelling exists whatever its SSE
         for i, row, cost in zip(group, group_labels, sse.tolist()):
             if i % R == 0 or cost < best[i // R]:
@@ -125,30 +125,27 @@ def kmeanspp(centers: np.ndarray, K: int, seeds: Sequence[int]) -> np.ndarray:
     return labels
 
 
-def _restarts(cols: np.ndarray, K: int,
-              rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep k-means++ restarts, one per generator: their labels and final SSEs.
+def _restarts(cols: np.ndarray, K: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep k-means++ restarts, one per row of uniforms ``u``: their labels and final SSEs.
 
-    A D^2 draw inverts the cumulative distribution as ``Generator.choice(n, p=...)``
-    does. An empty cluster steals the point farthest from its centroid among
-    clusters that keep a member. A restart stops when its labels repeat any earlier
-    labels of its own (a fixed point or a cycle, such as the repair moving a point to
-    and fro between coinciding centroids), or after ``KMEANS_MAX_ITER`` steps.
+    Restart r's first centre is ⌊u[r, 0]·n⌋. Its centre j > 0 is the number of
+    entries of its cumulative D^2, divided by its last entry, that are at most
+    u[r, j]; that is the first point past u[r, j], which has D^2 > 0. When every
+    D^2 is 0 the centre is ⌊u[r, j]·n⌋. An empty cluster steals the point farthest
+    from its centroid among clusters that keep a member. A restart stops when its
+    labels repeat any earlier labels of its own (a fixed point or a cycle, such as
+    the repair moving a point to and fro between coinciding centroids), or after
+    ``KMEANS_MAX_ITER`` steps.
     """
     d, n = cols.shape
-    R = len(rngs)
-    chosen = np.empty((R, K), dtype=np.intp)
-    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    R = len(u)
+    chosen = (u * n).astype(np.intp)        # the centres of a zero D^2 total stay here
     d2 = np.full((R, n), np.inf)
     for j in range(1, K):
         d2 = np.minimum(d2, squared_distances(cols[:, None], cols[:, chosen[:, j - 1], None]))
-        total = d2.sum(axis=1)
-        drawn = total > 0
-        cdf = np.cumsum(d2[drawn] / total[drawn, None], axis=1)
-        cdf /= cdf[:, -1:]
-        rows = iter(cdf)
-        chosen[:, j] = [next(rows).searchsorted(rng.random(), side="right") if draw
-                        else rng.integers(n) for rng, draw in zip(rngs, drawn)]
+        cdf = np.cumsum(d2, axis=1)
+        drawn = cdf[:, -1] > 0
+        chosen[drawn, j] = (cdf[drawn] / cdf[drawn, -1:] <= u[drawn, j, None]).sum(axis=1)
 
     # Lloyd on the live restarts, with feature-major (d, R, K) centroids. One feature at a
     # time into two reused buffers sums in index order without squared_distances' (d, A, K, n)

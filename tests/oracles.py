@@ -291,8 +291,10 @@ def clusters_after(merges: list[frozenset], k: int, K: int) -> set[frozenset]:
 def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     """Seeded k-means++ with one Python pass per centroid and per feature.
 
-    Each of 10 restarts r draws from SeedSequence([seed % 2**63, r]): a
-    uniform first centre, then D^2 draws. Seeding and Lloyd both sum squared
+    Seed s draws one (10, K) array of uniforms from default_rng(s % 2**63), and
+    restart r seeds from row r. Its first centre is ⌊row[0]·n⌋, and centre
+    j > 0 is the first point whose running D^2 sum, over the full sum, exceeds
+    row[j], or ⌊row[j]·n⌋ when every D^2 is 0. Seeding and Lloyd both sum squared
     differences feature by feature in index order. Lloyd takes the first
     nearest centroid, repairs each empty cluster by stealing the point farthest
     from its centroid among clusters that keep a member, stops when the labels equal
@@ -302,15 +304,19 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     """
     points = np.array(centers, dtype=np.float64)
     n = len(points)
+    uniforms = np.random.default_rng(seed % 2 ** 63).random((10, K)).tolist()
 
     best_labels, best_sse = None, math.inf
-    for r in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence([seed % 2 ** 63, r]))
-        chosen = [int(rng.integers(n))]
+    for row in uniforms:
+        chosen = [int(row[0] * n)]
         d2 = sq_dists(points, points[chosen[0]])
-        for _ in range(1, K):
-            total = d2.sum()
-            nxt = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+        for u in row[1:]:
+            running = list(itertools.accumulate(d2.tolist()))
+            total = running[-1]
+            if total > 0:
+                nxt = next(i for i, c in enumerate(running) if c / total > u)
+            else:
+                nxt = int(u * n)
             chosen.append(nxt)
             d2 = np.minimum(d2, sq_dists(points, points[nxt]))
         centroids = points[chosen].copy()

@@ -47,12 +47,12 @@ def replay_cases(d: int) -> list[tuple[str, np.ndarray, int, int]]:
     cases = [(name, centers, K, seed) for name, centers in inputs.items()
              for seed, K in enumerate((1, 2, 3, 8, n))]
 
-    # at seed 21, restarts 4 and 5 seed centroids at 0, 2 and 10; the one at 2
-    # loses both its points at the second step and is repaired, while the
-    # other eight restarts stop after two steps
+    # seed 0 is the first whose restarts meet the repair: its restart 3 seeds
+    # centroids at 10, 2 and 0, and the one at 2 loses both its points at the
+    # second step and is repaired, while the other nine restarts stop after two steps
     line = np.zeros((8, d))
     line[:, 0] = [0.0, 0.99, 0.99, 2.0, 5.9, 6.1, 6.1, 10.0]
-    cases.append(("line", line, 3, 21))
+    cases.append(("line", line, 3, 0))
 
     # from K = 256 on, the ranks and the labels take uint16 instead of uint8
     many = rng.random((260, d))
@@ -61,9 +61,10 @@ def replay_cases(d: int) -> list[tuple[str, np.ndarray, int, int]]:
 
 def cycling_centers() -> np.ndarray:
     # three rows repeated plus one stray row at K = 6: every restart of seed 0 cycles
-    # with period 4, and restarts 0, 2 and 6 stop two steps after the other
-    # seven, so they keep iterating after their neighbours have stopped
-    rng = np.random.default_rng(92)
+    # with period 4, and restart 3 stops two steps before the other nine, so they keep
+    # iterating at shifted live positions; 166 is the first generator seed for which
+    # checking a history by live position changes seed 0's labels
+    rng = np.random.default_rng(166)
     return np.vstack([rng.random((3, 2))[np.arange(11) % 3], rng.random((1, 2))])
 
 
@@ -323,30 +324,35 @@ class TestKMeansPP:
     def test_seeding_distances_sum_features_in_index_order(self):
         # A's squared offset from O = 0 is 1 plus 31 terms of 1.375² · 2^-54, each under
         # half its ulp: added in feature order they vanish, while numpy's row sum gathers
-        # them in eight partial sums first and lands 56 · 2^-54 higher. At seed 0 restart
-        # 0 seeds at O (index 2), and B's offset t is searched so that its second D² draw
-        # falls between the two sums' CDFs at A. With K = n every restart ends at SSE 0,
-        # so the labels are restart 0's draw order.
+        # them in eight partial sums first and lands 56 · 2^-54 higher. Seed 4 is the
+        # first whose restart 0 seeds at O (index 2), and B's offset t is searched so that
+        # its second D² draw falls between the two sums' CDFs at A. With K = n every
+        # restart ends at SSE 0, so the labels are restart 0's draw order.
         d = 32
         points = np.zeros((3, d))
         points[0] = 1.375 * 2.0 ** -27
         points[0, 0] = 1.0
         a, a_row = sq_dist(points[0], points[2]), np.square(points[0]).sum()
         assert a == 1.0 != a_row
-        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
-        assert int(rng.integers(3)) == 2
-        u = rng.random()
+        first, u, _ = np.random.default_rng(4).random((10, 3))[0]
+        assert int(first * 3) == 2
 
-        def second_draw(d2_a: float, t: float) -> int:   # Generator.choice(3, p=D² / total)
-            cdf = np.cumsum(np.array([d2_a, t * t, 0.0]) / (d2_a + t * t))
-            cdf /= cdf[-1]
-            return int(cdf.searchsorted(u, side="right"))
+        def second_draw(d2_a: float, t: float) -> int:   # the cumulative D² entries ≤ u
+            cdf = np.cumsum([d2_a, t * t, 0.0])
+            return int((cdf / cdf[-1] <= u).sum())
 
         t0 = math.sqrt((1.0 - u) / u)
         points[1, 1] = next(t for t in t0 + np.spacing(t0) * np.arange(-64, 65)
                             if second_draw(a, t) != second_draw(a_row, t))
         assert second_draw(a, points[1, 1]) == 1   # B second, so A last
-        assert kmeanspp(points, 3, [0])[0].tolist() == [2, 1, 0]
+        assert kmeanspp(points, 3, [4])[0].tolist() == [2, 1, 0]
+
+    def test_first_centre_draw_stays_below_n(self):
+        # u = 1 − 2^-53 is the largest Generator.random value: u·n rounds below n
+        u = np.nextafter(1.0, 0.0)
+        powers = 2 ** np.arange(17, 31)
+        n = np.concatenate([np.arange(1, 2 ** 16 + 1), powers - 1, powers, powers + 1])
+        assert ((u * n).astype(np.intp) <= n - 1).all()
 
     def test_each_restart_checks_its_own_label_history(self):
         centers = cycling_centers()

@@ -78,6 +78,22 @@ def test_scoring_and_both_backends_load_no_scipy():
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_a_falsified_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # reporting a falsified @given test imports libcst, whose mypy_extensions import
+    # warns; under the repo's warning filters that must not stop the session
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 0\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           "test_falsified.py"], cwd=tmp_path, capture_output=True, text=True)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "INTERNALERROR" not in output and "1 failed" in output, output
+
+
 def test_src_imports_only_numpy_and_the_standard_library():
     # walks every statement, so an import inside a function or branch counts too
     for path in sorted((REPO / "src" / "gbmdl").glob("*.py")):
