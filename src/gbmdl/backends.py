@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GranularBall, squared_distances
+from .core import GranularBall, ball_centers, squared_distances
 from .errors import ConfigurationError
 from .models import BLOCK_CELLS
 
@@ -94,48 +95,44 @@ def kmeanspp(centers: np.ndarray, K: int, seeds: Sequence[int]) -> np.ndarray:
     Returns one labelling per seed, shape (len(seeds), n). Seed s draws one
     (``KMEANS_RESTARTS``, K) array of uniforms from ``default_rng(s % 2**63)``, and
     restart r seeds its centres from row r. Each seed keeps its restarts' lowest
-    within-cluster SSE (ties: lowest restart). Every seed's uniforms are drawn up
-    front, K·``KMEANS_RESTARTS`` floats per seed. The (seed, restart) pairs then run
-    in order, in lockstep groups of ``BLOCK_CELLS // (K·n)`` restarts (at least one).
-    A group's buffers live only while it runs. Its (restarts, K, n) buffers hold at
-    most max(``BLOCK_CELLS``, K·n) cells, and its (d, restarts, n) ones d/K times
-    that, so beyond each seed's uniforms and best labelling so far memory does not
-    grow with the number of seeds. Every restart has its own row of uniforms and its
-    own label history, so a seed's labels equal those of a call on that seed alone.
+    within-cluster SSE (ties and an all-inf seed: lowest restart), one ``argmin``.
+    The seeds run in order, in lockstep groups of ``BLOCK_CELLS // (R·K·n)`` whole
+    seeds (at least one), R = ``KMEANS_RESTARTS``, and a group draws its uniforms
+    when it runs. Nothing but the labels outlives a group. Its (restarts, K, n)
+    buffers hold at most max(``BLOCK_CELLS``, R·K·n) cells, and its (d, restarts, n)
+    ones d/K times that, so memory grows with the seeds only by their labellings.
+    Every restart has its own row of uniforms and its own label history, so a seed's
+    labels equal those of a call on that seed alone.
     """
     points = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     n = len(points)
     if K < 1 or n < K:
         raise ConfigurationError(f"cannot form {K} clusters from {n} centers")
     R = KMEANS_RESTARTS
-    draws = np.array([np.random.default_rng(seed % 2 ** 63).random((R, K))
-                      for seed in seeds]).reshape(-1, K)
     cols = np.ascontiguousarray(points.T)
     labels = np.empty((len(seeds), n), dtype=np.int64)
-    best = [np.inf] * len(seeds)
-    step = max(1, BLOCK_CELLS // (K * n))
-    for start in range(0, len(draws), step):
-        group = range(start, min(start + step, len(draws)))
-        group_labels, sse = _restarts(cols, K, draws[start:group.stop])
-        # the first restart of a seed always counts, so a labelling exists whatever its SSE
-        for i, row, cost in zip(group, group_labels, sse.tolist()):
-            if i % R == 0 or cost < best[i // R]:
-                best[i // R] = cost
-                labels[i // R] = row
+    step = max(1, BLOCK_CELLS // (R * K * n))
+    for start in range(0, len(seeds), step):
+        u = np.concatenate([np.random.default_rng(operator.index(seed) % 2 ** 63).random((R, K))
+                            for seed in seeds[start:start + step]])
+        group_labels, sse = _restarts(cols, K, u)
+        best = sse.reshape(-1, R).argmin(axis=1)
+        labels[start:start + len(best)] = group_labels[R * np.arange(len(best)) + best]
     return labels
 
 
 def _restarts(cols: np.ndarray, K: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lockstep k-means++ restarts, one per row of uniforms ``u``: their labels and final SSEs.
 
-    Restart r's first centre is ⌊u[r, 0]·n⌋. Its centre j > 0 is the number of
-    entries of its cumulative D^2, divided by its last entry, that are at most
-    u[r, j]; that is the first point past u[r, j], which has D^2 > 0. When every
-    D^2 is 0 the centre is ⌊u[r, j]·n⌋. An empty cluster steals the point farthest
-    from its centroid among clusters that keep a member. A restart stops when its
-    labels repeat any earlier labels of its own (a fixed point or a cycle, such as
-    the repair moving a point to and fro between coinciding centroids), or after
-    ``KMEANS_MAX_ITER`` steps.
+    ``kmeanspp`` passes one group of whole seeds, ``KMEANS_RESTARTS`` rows each, and
+    the (rows, K, n) Lloyd buffers live only for this call. Restart r's first centre
+    is ⌊u[r, 0]·n⌋. Its centre j > 0 is the number of entries of its cumulative D^2,
+    divided by its last entry, that are at most u[r, j]; that is the first point past
+    u[r, j], which has D^2 > 0. When every D^2 is 0 the centre is ⌊u[r, j]·n⌋. An
+    empty cluster steals the point farthest from its centroid among clusters that keep
+    a member. A restart stops when its labels repeat any earlier labels of its own (a
+    fixed point or a cycle, such as the repair moving a point to and fro between
+    coinciding centroids), or after ``KMEANS_MAX_ITER`` steps.
     """
     d, n = cols.shape
     R = len(u)
@@ -208,11 +205,6 @@ def reads_seed(stable_balls: list[GranularBall], K: int, backend: str) -> bool:
     at all: Ward and the passthrough give every seed the same labels.
     """
     return backend == "kmeanspp" and len(stable_balls) > K
-
-
-def ball_centers(stable_balls: list[GranularBall]) -> np.ndarray:
-    """The balls' centers as the rows of one (balls, d) array, the points a backend clusters."""
-    return np.stack([b.center for b in stable_balls])
 
 
 def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,

@@ -188,6 +188,11 @@ class GranularBall:
         return self.stats.sum / self.stats.count
 
 
+def ball_centers(balls: list[GranularBall]) -> np.ndarray:
+    """The balls' centers as the rows of one (balls, d) array."""
+    return np.stack([b.center for b in balls])
+
+
 class ModelChoice(Enum):
     """The three competing local explanations of a ball."""
 

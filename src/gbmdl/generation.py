@@ -19,6 +19,7 @@ from .core import (
     GranularBall,
     ModelChoice,
     ModelVerdict,
+    ball_centers,
     squared_distances,
     stack_stats,
     stats_add_point,
@@ -184,7 +185,7 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     """
     if not stable_balls:
         raise ValueError("need at least one stable ball")
-    centers = np.stack([b.center for b in stable_balls])
+    centers = ball_centers(stable_balls)
     keep = np.sort(np.unique(centers, axis=0, return_index=True)[1])
     centers = centers[keep]
     sq_c = np.einsum("ij,ij->i", centers, centers)

@@ -105,9 +105,9 @@ Scan = tuple[np.ndarray, np.ndarray, np.ndarray]
 # the competition's explanations in order of preference on an exact tie
 WINNERS = (ModelChoice.SINGLE_BALL, ModelChoice.CORE_RESIDUAL, ModelChoice.TWO_BALL)
 
-# The batched scans, residual reattachment and ownership price at most about this
-# many float64 cells (512 KB) per array at a time, so their scratch memory does not
-# grow with n.
+# The batched scans, residual reattachment, ownership and k-means++ groups price at
+# most about this many float64 cells (512 KB) per array at a time, so their scratch
+# memory does not grow with n; a k-means++ seed of more cells is a group of its own.
 BLOCK_CELLS = 1 << 16
 
 

@@ -360,23 +360,60 @@ class TestKMeansPP:
 
     @pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 13, 64])
     def test_seeds_match_one_at_a_time_across_group_boundaries(self, monkeypatch, d):
-        # restarts run alone at 1, K·n − 1 and K·n cells, three to a group at
-        # 3·K·n + 1, so groups straddle seeds, and all fifty at once at 2^30. The
-        # seeds start at each case's own, which meets the case's branch. The 260-row
-        # inputs, there for the rank dtype, would take most of a minute.
+        # seeds run alone at R·K·n − 1 and R·K·n cells, two to a group at
+        # 2·R·K·n + 1, so the last group is short, and all five at once at 2^30.
+        # Every group holds whole seeds. The seeds start at each case's own, which
+        # meets the case's branch. The 260-row inputs, there for the rank dtype,
+        # would take most of a minute.
+        R = backends.KMEANS_RESTARTS
+        rows = []
+        restarts = backends._restarts
+
+        def whole_seeds(cols, K, u):
+            rows.append(len(u))
+            return restarts(cols, K, u)
+
+        monkeypatch.setattr(backends, "_restarts", whole_seeds)
         cases = [case for case in replay_cases(d) if case[0] != "many"]
         if d == 2:
             cases.append(("cycling", cycling_centers(), 6, 0))
         for name, centers, K, seed in cases:
             seeds = range(seed, seed + 5)
             want = [kmeanspp_replay(centers, K, seed=s) for s in seeds]
-            cells = K * len(centers)
-            for block in (1, cells - 1, cells, 3 * cells + 1, 2 ** 30):
+            cells = R * K * len(centers)
+            for block, groups in ((cells - 1, [R] * 5), (cells, [R] * 5),
+                                  (2 * cells + 1, [2 * R, 2 * R, R]), (2 ** 30, [5 * R])):
                 monkeypatch.setattr(backends, "BLOCK_CELLS", block)
+                rows.clear()
                 got = kmeanspp(centers, K, seeds)
+                assert rows == groups, (name, K, block)
                 assert got.shape == (5, len(centers)) and got.dtype == np.int64
                 for s, row, expected in zip(seeds, got, want):
                     assert np.array_equal(row, expected), (name, K, s, block)
+
+    def test_a_seed_whose_every_sse_overflows_keeps_restart_zero(self):
+        # ten SSEs of inf tie, so the seed takes its first restart's labels; at seed 11
+        # no other restart ends with those labels
+        centers = np.random.default_rng(8).random((12, 2)) * 1e200
+        u = np.random.default_rng(11).random((backends.KMEANS_RESTARTS, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels, sse = backends._restarts(np.ascontiguousarray(centers.T), 3, u)
+            got = kmeanspp(centers, 3, [11])[0]
+        assert np.isinf(sse).all()
+        assert [np.array_equal(got, row) for row in labels] == [True] + [False] * 9
+
+    def test_numpy_integer_seeds_draw_as_python_ints(self):
+        centers = np.random.default_rng(7).random((20, 2))
+        big = 2 ** 64 - 1
+        want = kmeanspp(centers, 3, [0, 1, big, -1])
+        assert np.array_equal(kmeanspp(centers, 3, np.arange(2)), want[:2])
+        seeds = [np.int64(0), np.uint64(1), np.uint64(big), np.int64(-1)]
+        assert np.array_equal(kmeanspp(centers, 3, seeds), want)
+        balls = balls_from_rows(centers)
+        got = cluster_or_passthrough(balls, K=3, backend="kmeanspp", seed=np.int64(1))
+        assert np.array_equal(got.ball_labels, want[1])
+        with pytest.raises(TypeError):
+            kmeanspp(centers, 3, [1.5])
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.data())

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gbmdl.backends import kmeanspp
+from gbmdl.backends import KMEANS_RESTARTS, kmeanspp
 from gbmdl.cli import load_csv
 from gbmdl.core import Dataset, GranularBall, minmax_normalize
 from gbmdl.generation import (
@@ -132,10 +132,10 @@ def test_peel_scan_memory_is_bounded(layout):
 
 
 def test_kmeanspp_memory_is_bounded():
-    # K·n = 100,000 cells exceed BLOCK_CELLS, so the ten restarts run one at a time,
-    # each with two 20 x 5000 float64 buffers of 0.8 MB and a cycle history of one
-    # byte per label. Forming all ten restarts' 8-feature differences at once would
-    # take 64 MB.
+    # K·n = 100,000 cells exceed BLOCK_CELLS, so the one seed is a group of its own: its
+    # ten restarts run together, with two 10 x 20 x 5000 float64 buffers of 8 MB and a
+    # cycle history of one byte per label. Forming all ten restarts' 8-feature
+    # differences at once would take 64 MB.
     rng = np.random.default_rng(3)
     centers = rng.random((5_000, 8))
     labels, peak = traced_peak(kmeanspp, centers, 20, [0])
@@ -143,11 +143,23 @@ def test_kmeanspp_memory_is_bounded():
     assert peak < 32 * MB
 
 
+def test_kmeanspp_memory_of_one_seed_above_the_block():
+    # R·K·n = 80,000 cells exceed BLOCK_CELLS, so the seed runs alone in a group whose
+    # (restarts, K, n) buffers take R·K·n float64 each (625 KB); its 4-feature
+    # (d, restarts, n) arrays take 0.4 times that. The whole (d, restarts, K, n)
+    # difference would take four times the buffer on its own.
+    rng = np.random.default_rng(5)
+    centers = rng.random((800, 4))
+    labels, peak = traced_peak(kmeanspp, centers, 10, [0])
+    assert set(labels[0].tolist()) == set(range(10))
+    assert peak < 5 * (KMEANS_RESTARTS * 10 * 800) * 8
+
+
 def test_kmeanspp_memory_does_not_grow_with_restarts():
-    # 5,000 seeds are 50,000 restarts, run 1,213 at a time (BLOCK_CELLS // 54 cells).
-    # What grows per seed is its (10, 3) uniforms, drawn up front, and its best
-    # labelling so far: 384 bytes, 1.8 MB for all 5,000. Keeping all 42 groups' two
-    # Lloyd buffers instead would take 42 MB.
+    # 5,000 seeds are 50,000 restarts, run 121 seeds at a time (BLOCK_CELLS // 540
+    # cells). A group's uniforms and buffers live only while it runs, so what grows
+    # per seed is its labelling: 144 bytes, 0.7 MB for all 5,000. Keeping all 42
+    # groups' two Lloyd buffers instead would take 42 MB.
     rng = np.random.default_rng(4)
     centers = rng.random((18, 4))
     labels, peak = traced_peak(kmeanspp, centers, 3, range(5_000))
