@@ -1,6 +1,6 @@
 """Granular-ball clustering by local description-length model competition."""
 
-from .backends import cluster_or_passthrough
+from .backends import cluster_or_passthrough, kmeanspp
 from .core import Dataset, minmax_normalize
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import generate, generate_stable_balls
@@ -19,6 +19,7 @@ __all__ = [
     "cluster_or_passthrough",
     "generate",
     "generate_stable_balls",
+    "kmeanspp",
     "minmax_normalize",
     "nmi",
 ]

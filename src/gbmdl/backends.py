@@ -1,4 +1,5 @@
-"""Downstream clustering of stable-ball centers."""
+"""Downstream clustering of stable-ball centers: Ward behind ``cluster_or_passthrough``,
+and k-means++ as ``kmeanspp`` alone, many seeds per call. Only ``cli`` names backends."""
 
 from __future__ import annotations
 
@@ -8,11 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GranularBall, ball_centers, squared_distances
+from .core import GranularBall, _as_matrix, ball_centers, squared_distances
 from .errors import ConfigurationError
 from .models import BLOCK_CELLS
 
-BACKENDS = ("ac", "kmeanspp")
 KMEANS_RESTARTS = 10     # seeded k-means++ attempts per seed; the lowest SSE wins
 KMEANS_MAX_ITER = 300    # Lloyd iterations per attempt
 
@@ -30,14 +30,15 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
     Each merge minimizes the within-cluster SSE increase
     |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2, priced by direct differences; ties
     go to the lexicographically smallest pair of lowest member indices. Every
-    center counts as one point, whatever the size of its ball. Final labels
-    are numbered by each cluster's lowest member index.
+    center counts as one point, whatever the size of its ball, and a 1-D array is
+    one-feature centers, as ``Dataset`` reads it. Final labels are numbered by each
+    cluster's lowest member index.
 
     Each live row caches its cheapest pair with a higher live row (the generic
     nearest-neighbour-list algorithm, Müllner 2011, arXiv:1109.2378), so a
     merge rescans only the rows it invalidates: O(k²) work in practice.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    centers = _as_matrix(centers)
     k = centers.shape[0]
     if K < 1 or k < K:
         raise ConfigurationError(f"cannot form {K} clusters from {k} centers")
@@ -92,7 +93,8 @@ def agglomerative_ward(centers: np.ndarray, K: int) -> np.ndarray:
 def kmeanspp(centers: np.ndarray, K: int, seeds: Sequence[int]) -> np.ndarray:
     """K-means with D^2 seeding and Lloyd iterations on the center vectors, once per seed.
 
-    Returns one labelling per seed, shape (len(seeds), n). Seed s draws one
+    Returns one labelling per seed, shape (len(seeds), n); a 1-D array is n
+    one-feature centers, as for ``agglomerative_ward``. Seed s draws one
     (``KMEANS_RESTARTS``, K) array of uniforms from ``default_rng(s % 2**63)``, and
     restart r seeds its centres from row r. Each seed keeps its restarts' lowest
     within-cluster SSE (ties and an all-inf seed: lowest restart), one ``argmin``.
@@ -104,7 +106,7 @@ def kmeanspp(centers: np.ndarray, K: int, seeds: Sequence[int]) -> np.ndarray:
     Every restart has its own row of uniforms and its own label history, so a seed's
     labels equal those of a call on that seed alone.
     """
-    points = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    points = _as_matrix(centers)
     n = len(points)
     if K < 1 or n < K:
         raise ConfigurationError(f"cannot form {K} clusters from {n} centers")
@@ -198,33 +200,21 @@ def _restarts(cols: np.ndarray, K: int, u: np.ndarray) -> tuple[np.ndarray, np.n
     return labels, np.square(residual, out=residual).reshape(R, n * d).sum(axis=1)
 
 
-def reads_seed(stable_balls: list[GranularBall], K: int, backend: str) -> bool:
-    """Whether ``cluster_or_passthrough``'s labels can depend on its seed.
+def cluster_or_passthrough(stable_balls: list[GranularBall], K: int,
+                           ball_labels: np.ndarray | None = None) -> BallClustering:
+    """Cluster ball centers into K clusters by Ward, or pass balls through directly.
 
-    Only k-means++ draws, and only when the balls outnumber K so that it runs
-    at all: Ward and the passthrough give every seed the same labels.
-    """
-    return backend == "kmeanspp" and len(stable_balls) > K
-
-
-def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: str,
-                           seed: int = 0, ball_labels: np.ndarray | None = None) -> BallClustering:
-    """Cluster ball centers into K clusters, or pass balls through directly.
-
-    When the ball count does not exceed K each ball is its own cluster and no
-    backend runs at all. Otherwise the centers go to the chosen backend, k-means++
-    as a one-seed ``kmeanspp`` call. A caller that already has the labelling, such
-    as one row of a many-seed ``kmeanspp`` call, passes it as ``ball_labels``: it
-    must hold one integer label in [0, K) per ball, and it is wrapped as it is,
-    with neither the passthrough nor a backend run.
+    When the ball count does not exceed K each ball is its own cluster and Ward
+    does not run. A caller that already has the labelling, such as one row of a
+    many-seed ``kmeanspp`` call, passes it as ``ball_labels``: it must hold one
+    integer label in [0, K) per ball, and it is wrapped as it is, with neither the
+    passthrough nor Ward run.
     """
     count = len(stable_balls)
     if count < 1:
         raise ConfigurationError("need at least one stable ball")
     if K < 1:
         raise ConfigurationError("K must be at least 1")
-    if backend not in BACKENDS:
-        raise ConfigurationError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
 
     if ball_labels is not None:
         labels = np.asarray(ball_labels)
@@ -234,10 +224,4 @@ def cluster_or_passthrough(stable_balls: list[GranularBall], K: int, backend: st
         return BallClustering(ball_labels=labels)
     if count <= K:
         return BallClustering(ball_labels=np.arange(count, dtype=np.int64))
-
-    centers = ball_centers(stable_balls)
-    if backend == "ac":
-        labels = agglomerative_ward(centers, K)
-    else:
-        labels = kmeanspp(centers, K, [seed])[0]
-    return BallClustering(ball_labels=labels)
+    return BallClustering(ball_labels=agglomerative_ward(ball_centers(stable_balls), K))

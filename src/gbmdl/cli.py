@@ -2,7 +2,8 @@
 
 The command line runs: load CSV -> normalize -> generate balls -> cluster the
 ball centers (once per seeded run) -> propagate labels -> score against the
-ground truth, and writes a machine-readable JSON report.
+ground truth, and writes a machine-readable JSON report. Only this module maps a
+backend name to its route, ``cluster_or_passthrough`` (Ward) or ``kmeanspp``.
 Ground-truth labels are consumed by the metrics only; no clustering stage
 sees them.
 """
@@ -25,11 +26,13 @@ from functools import partial
 import numpy as np
 
 from . import backends
-from .backends import BACKENDS, ball_centers, cluster_or_passthrough, reads_seed
+from .backends import ball_centers, cluster_or_passthrough
 from .core import Dataset, GranularBall, minmax_normalize
 from .errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from .generation import generate
 from .metrics import acc, ari, nmi
+
+BACKENDS = ("ac", "kmeanspp")   # --backend: Ward, or seeded k-means++
 
 # Seeded runs count balls * K * (d + 14) * runs work: in a fit to in-process k-means++
 # times, a Lloyd step's passes besides its d distance passes cost about 14 more. From
@@ -236,19 +239,20 @@ def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
                  seeds: range) -> list[tuple[np.ndarray, float]]:
     """Every seed's (ball labels, seconds), in seed order.
 
-    A clustering that ignores the seed runs once, and the later seeds reuse its
-    labels at 0 seconds. k-means++ takes the seeds in one call per block of seeds,
-    each seed timed as an equal share of its call. Where fork and a second CPU exist
-    and the work reaches ``POOL_MIN_WORK``, worker processes, at most one per CPU and
-    per seed, take one contiguous block of ⌈runs / workers⌉ seeds each; otherwise
-    all the seeds are one block in this process. A worker gets the centers and its
-    seeds, and only the labels and timings come back, so the labels are those of an
+    Ward and the passthrough ignore the seed: ``cluster_or_passthrough`` runs once,
+    and the later seeds reuse its labels at 0 seconds. k-means++ on more balls than
+    K takes the seeds in one ``kmeanspp`` call per block of seeds, each seed timed as
+    an equal share of its call. Where fork and a second CPU exist and the work
+    reaches ``POOL_MIN_WORK``, worker processes, at most one per CPU and per seed,
+    take one contiguous block of ⌈runs / workers⌉ seeds each; otherwise all the
+    seeds are one block in this process. A worker gets the centers and its seeds,
+    and only the labels and timings come back, so the labels are those of an
     in-process run. Back in this process, each seed's labelling is checked and
-    wrapped by ``cluster_or_passthrough``, as the seedless path's is.
+    wrapped by ``cluster_or_passthrough(..., ball_labels=labels)``.
     """
-    if not reads_seed(balls, k, backend):
+    if backend != "kmeanspp" or len(balls) <= k:
         t = time.perf_counter()
-        labels = cluster_or_passthrough(balls, k, backend, seed=seeds[0]).ball_labels
+        labels = cluster_or_passthrough(balls, k).ball_labels
         return [(labels, time.perf_counter() - t)] + [(labels, 0.0)] * (len(seeds) - 1)
     centers = ball_centers(balls)
     workers = 1
@@ -268,8 +272,8 @@ def _seeded_runs(balls: list[GranularBall], k: int, backend: str,
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
             runs = [run for block in pool.map(partial(_cluster_block, centers, k), blocks)
                     for run in block]
-    return [(cluster_or_passthrough(balls, k, backend, seed=seed, ball_labels=labels).ball_labels,
-             seconds) for seed, (labels, seconds) in zip(seeds, runs)]
+    return [(cluster_or_passthrough(balls, k, ball_labels=labels).ball_labels, seconds)
+            for labels, seconds in runs]
 
 
 def run_pipeline(config: RunConfig) -> dict:

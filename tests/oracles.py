@@ -294,26 +294,29 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
     Seed s draws one (10, K) array of uniforms from default_rng(s % 2**63), and
     restart r seeds from row r. Its first centre is ⌊row[0]·n⌋, and centre
     j > 0 is the first point whose running D^2 sum, over the full sum, exceeds
-    row[j], or ⌊row[j]·n⌋ when every D^2 is 0. Seeding and Lloyd both sum squared
+    row[j], or ⌊row[j]·n⌋ when every D^2 is 0. When the full sum overflows to inf,
+    it is the first point whose running sum is inf. Seeding and Lloyd both sum squared
     differences feature by feature in index order. Lloyd takes the first
     nearest centroid, repairs each empty cluster by stealing the point farthest
     from its centroid among clusters that keep a member, stops when the labels equal
     any earlier labels of the restart or after 300 steps, and sets each
     centroid to the sequential sum of its rows over its count. The lowest
-    final SSE wins, ties to the lowest restart.
+    final SSE wins, ties to the lowest restart, and restart 0 when every SSE is inf.
     """
     points = np.array(centers, dtype=np.float64)
     n = len(points)
     uniforms = np.random.default_rng(seed % 2 ** 63).random((10, K)).tolist()
 
-    best_labels, best_sse = None, math.inf
+    best_labels, best_sse = None, None
     for row in uniforms:
         chosen = [int(row[0] * n)]
         d2 = sq_dists(points, points[chosen[0]])
         for u in row[1:]:
             running = list(itertools.accumulate(d2.tolist()))
             total = running[-1]
-            if total > 0:
+            if total == math.inf:
+                nxt = running.index(math.inf)
+            elif total > 0:
                 nxt = next(i for i, c in enumerate(running) if c / total > u)
             else:
                 nxt = int(u * n)
@@ -342,6 +345,6 @@ def kmeanspp_replay(centers: np.ndarray, K: int, seed: int) -> np.ndarray:
                 centroids[c] = np.cumsum(points[labels == c], axis=0)[-1] / counts[c]
 
         sse = float(((points - centroids[labels]) ** 2).sum())
-        if sse < best_sse:
+        if best_sse is None or sse < best_sse:
             best_labels, best_sse = labels, sse
     return best_labels

@@ -225,7 +225,7 @@ def test_criterion_8_separated_blobs_structure():
         result = generate(ds)
         for ball in result.stable_balls:
             assert np.unique(ds.labels[ball.members]).size == 1
-        clustering = cluster_or_passthrough(list(result.stable_balls), 2, "ac")
+        clustering = cluster_or_passthrough(list(result.stable_balls), 2)
         predicted = clustering.ball_labels[result.ownership]
         assert ari(ds.labels, predicted) == 1.0
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gbmdl import backends
 from gbmdl.backends import agglomerative_ward, cluster_or_passthrough, kmeanspp
-from gbmdl.core import GranularBall
+from gbmdl.core import GranularBall, ball_centers
 from gbmdl.errors import ConfigurationError
 
 from oracles import clusters_after, kmeanspp_replay, min_sse_bipartition, sq_dist, ward_replay
@@ -71,7 +71,7 @@ def cycling_centers() -> np.ndarray:
 class TestClusterOrPassthrough:
     def test_passthrough_when_few_balls(self):
         values = np.array([[0.1], [0.5], [0.9]])
-        clustering = cluster_or_passthrough(balls_from_rows(values), K=5, backend="ac")
+        clustering = cluster_or_passthrough(balls_from_rows(values), K=5)
         assert clustering.ball_labels.tolist() == [0, 1, 2]
 
     def test_equal_count_passthrough_both_backends(self, monkeypatch):
@@ -83,29 +83,19 @@ class TestClusterOrPassthrough:
         monkeypatch.setattr(backends, "kmeanspp", refuse)
         rng = np.random.default_rng(12)
         values = rng.random((10, 2))
-        for backend in ("ac", "kmeanspp"):
-            clustering = cluster_or_passthrough(balls_from_rows(values), K=10,
-                                                backend=backend)
-            assert clustering.ball_labels.tolist() == list(range(10))
+        clustering = cluster_or_passthrough(balls_from_rows(values), K=10)
+        assert clustering.ball_labels.tolist() == list(range(10))
 
     def test_tight_pairs_co_labeled_by_both_backends(self):
         values = np.array([[0.0, 0.0], [0.02, 0.0], [1.0, 1.0], [1.0, 0.98]])
         mask = min_sse_bipartition(values)
-        for backend in ("ac", "kmeanspp"):
-            labels = cluster_or_passthrough(balls_from_rows(values), K=2,
-                                            backend=backend, seed=1).ball_labels
+        balls = balls_from_rows(values)
+        for labels in (cluster_or_passthrough(balls, K=2).ball_labels,
+                       kmeanspp(ball_centers(balls), 2, [1])[0]):
             assert co_labeled(labels, 0, 1) and co_labeled(labels, 2, 3)
             # agrees with the exhaustive minimum-SSE bipartition
             assert all((labels[i] == labels[j]) == (mask[i] == mask[j])
                        for i in range(4) for j in range(4))
-
-    def test_unknown_backend_rejected(self):
-        balls = balls_from_rows(np.random.default_rng(0).random((4, 2)))
-        # also where the balls would pass through (K = 4)
-        for backend in ("dbscan", "none"):
-            for K in (2, 4):
-                with pytest.raises(ConfigurationError, match="unknown backend"):
-                    cluster_or_passthrough(balls, K=K, backend=backend)
 
     def test_given_labelling_is_checked_and_wrapped(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -115,13 +105,13 @@ class TestClusterOrPassthrough:
         monkeypatch.setattr(backends, "kmeanspp", refuse)
         balls = balls_from_rows(np.random.default_rng(5).random((6, 2)))
         labels = np.array([2, 0, 1, 0, 2, 2])
-        clustering = cluster_or_passthrough(balls, K=3, backend="kmeanspp", ball_labels=labels)
+        clustering = cluster_or_passthrough(balls, K=3, ball_labels=labels)
         assert clustering.ball_labels is labels
         # one integer in [0, K) per ball, or the labelling is refused
         for bad in (labels[:5], labels.reshape(2, 3), labels + 1, labels - 1,
                     labels.astype(np.float64)):
             with pytest.raises(ConfigurationError, match="ball_labels"):
-                cluster_or_passthrough(balls, K=3, backend="kmeanspp", ball_labels=bad)
+                cluster_or_passthrough(balls, K=3, ball_labels=bad)
 
     def test_ball_centers_stack_the_centers(self):
         values = np.random.default_rng(6).random((5, 3))
@@ -131,18 +121,25 @@ class TestClusterOrPassthrough:
 
     def test_no_balls_rejected(self):
         with pytest.raises(ConfigurationError):
-            cluster_or_passthrough([], K=2, backend="ac")
+            cluster_or_passthrough([], K=2)
 
     def test_zero_clusters_rejected(self):
         balls = balls_from_rows(np.array([[0.1], [0.5], [0.9]]))
         with pytest.raises(ConfigurationError, match=r"^K must be at least 1$"):
-            cluster_or_passthrough(balls, K=0, backend="ac")
+            cluster_or_passthrough(balls, K=0)
 
 
 class TestWard:
     def test_more_clusters_than_centers_rejected(self):
         with pytest.raises(ConfigurationError, match=r"^cannot form 3 clusters from 2 centers$"):
             agglomerative_ward(np.array([[0.0], [1.0]]), 3)
+
+    def test_one_d_centres_are_one_feature(self):
+        # a 1-D array holds one centre per entry, as Dataset reads 1-D values
+        for centres, K in ((np.array([0.1, 0.2, 0.8, 0.9]), 2),
+                           (np.random.default_rng(17).random(30), 4)):
+            labels = agglomerative_ward(centres, K)
+            assert np.array_equal(labels, agglomerative_ward(centres[:, None], K))
 
     def test_closest_pair_merges_first(self):
         centers = np.array([[0.0], [0.1], [1.0]])
@@ -242,6 +239,13 @@ class TestKMeansPP:
     def test_more_clusters_than_centers_rejected(self):
         with pytest.raises(ConfigurationError, match=r"^cannot form 3 clusters from 2 centers$"):
             kmeanspp(np.array([[0.0], [1.0]]), 3, [0])
+
+    def test_one_d_centres_are_one_feature(self):
+        # a 1-D array holds one centre per entry, as Dataset reads 1-D values
+        for centres, K in ((np.array([0.1, 0.2, 0.8, 0.9]), 2),
+                           (np.random.default_rng(17).random(30), 4)):
+            labels = kmeanspp(centres, K, range(3))
+            assert np.array_equal(labels, kmeanspp(centres[:, None], K, range(3)))
 
     def test_k_equals_count_zero_sse(self):
         centers = np.random.default_rng(4).random((6, 2))
@@ -402,6 +406,15 @@ class TestKMeansPP:
         assert np.isinf(sse).all()
         assert [np.array_equal(got, row) for row in labels] == [True] + [False] * 9
 
+    def test_overflowing_input_matches_replay(self):
+        # every D^2 total after the first centre is inf, so each later centre is the
+        # first point whose running sum is inf, and every seed's ten SSEs are inf
+        centers = np.random.default_rng(8).random((12, 2)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kmeanspp(centers, 3, range(12))
+            for seed, row in enumerate(got):
+                assert np.array_equal(row, kmeanspp_replay(centers, 3, seed)), seed
+
     def test_numpy_integer_seeds_draw_as_python_ints(self):
         centers = np.random.default_rng(7).random((20, 2))
         big = 2 ** 64 - 1
@@ -409,9 +422,8 @@ class TestKMeansPP:
         assert np.array_equal(kmeanspp(centers, 3, np.arange(2)), want[:2])
         seeds = [np.int64(0), np.uint64(1), np.uint64(big), np.int64(-1)]
         assert np.array_equal(kmeanspp(centers, 3, seeds), want)
-        balls = balls_from_rows(centers)
-        got = cluster_or_passthrough(balls, K=3, backend="kmeanspp", seed=np.int64(1))
-        assert np.array_equal(got.ball_labels, want[1])
+        got = kmeanspp(ball_centers(balls_from_rows(centers)), 3, [np.int64(1)])[0]
+        assert np.array_equal(got, want[1])
         with pytest.raises(TypeError):
             kmeanspp(centers, 3, [1.5])
 

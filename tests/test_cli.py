@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbmdl import backends, cli
-from gbmdl.backends import cluster_or_passthrough
+from gbmdl.backends import kmeanspp
 from gbmdl.cli import RunConfig, _build_parser, load_csv, main, render, run_pipeline
-from gbmdl.core import minmax_normalize
+from gbmdl.core import ball_centers, minmax_normalize
 from gbmdl.errors import ConfigurationError, CsvParseError, DataQualityError, GbmdlError
 from gbmdl.generation import generate
 from gbmdl.metrics import acc, ari, nmi
@@ -255,7 +255,7 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RunConfig(input="x", runs=0)
-        for backend in ("spectral", "none"):
+        for backend in ("spectral", "dbscan", "none"):
             with pytest.raises(ConfigurationError, match="unknown backend"):
                 RunConfig(input="x", backend=backend)
         with pytest.raises(ConfigurationError):
@@ -360,10 +360,10 @@ class TestRunPipeline:
         # the rows from scoring every run
         dataset = minmax_normalize(load_csv(iris_path))
         result = generate(dataset)
+        centers = ball_centers(list(result.stable_balls))
         rows, labellings = [], set()
         for seed in range(20):
-            ball_labels = cluster_or_passthrough(list(result.stable_balls), 3, "kmeanspp",
-                                                 seed=seed).ball_labels
+            ball_labels = kmeanspp(centers, 3, [seed])[0]
             labellings.add(ball_labels.tobytes())
             sample_labels = ball_labels[result.ownership]
             rows.append({"seed": seed, "ari": ari(dataset.labels, sample_labels),
@@ -460,14 +460,14 @@ class TestRunPipeline:
         assert reports[0] == reports[1]
 
 
-def record_clusterings(monkeypatch) -> list[tuple[int, np.ndarray]]:
-    """Wrap the CLI's ``cluster_or_passthrough``; returns each call's (seed, ball labels)."""
+def record_clusterings(monkeypatch) -> list[np.ndarray]:
+    """Wrap the CLI's ``cluster_or_passthrough``; returns each call's ball labels."""
     calls = []
     wrapped = cli.cluster_or_passthrough
 
-    def recorded(stable_balls, K, backend, seed=0, ball_labels=None):
-        clustering = wrapped(stable_balls, K, backend, seed=seed, ball_labels=ball_labels)
-        calls.append((seed, clustering.ball_labels))
+    def recorded(stable_balls, K, ball_labels=None):
+        clustering = wrapped(stable_balls, K, ball_labels=ball_labels)
+        calls.append(clustering.ball_labels)
         return clustering
 
     monkeypatch.setattr(cli, "cluster_or_passthrough", recorded)
@@ -475,12 +475,10 @@ def record_clusterings(monkeypatch) -> list[tuple[int, np.ndarray]]:
 
 
 def assert_one_clustering_per_seed(calls, path, K, seeds):
-    # every seed's k-means++ labelling was wrapped in this process, in seed order
+    # every seed's k-means++ labelling was wrapped in this process once, in seed order
     result = generate(minmax_normalize(load_csv(path)))
-    centers = backends.ball_centers(list(result.stable_balls))
-    assert [seed for seed, _ in calls] == list(seeds)
-    assert np.array_equal(np.stack([labels for _, labels in calls]),
-                          backends.kmeanspp(centers, K, seeds))
+    centers = ball_centers(list(result.stable_balls))
+    assert np.array_equal(np.stack(calls), kmeanspp(centers, K, seeds))
 
 
 def force_pool(monkeypatch) -> list[int]:

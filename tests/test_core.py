@@ -61,7 +61,7 @@ class TestDataset:
         ds = minmax_normalize(Dataset(values=values, labels=truth))
         assert np.array_equal(ds.labels, truth) and np.unique(ds.labels).size == 3
         result = generate(ds)
-        clustering = cluster_or_passthrough(list(result.stable_balls), 3, "ac")
+        clustering = cluster_or_passthrough(list(result.stable_balls), 3)
         predicted = clustering.ball_labels[result.ownership]
         assert (ari(ds.labels, predicted), acc(ds.labels, predicted),
                 nmi(ds.labels, predicted)) == (1.0, 1.0, 1.0)
