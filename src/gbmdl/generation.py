@@ -176,8 +176,10 @@ def reassign_residuals(pool: np.ndarray, stable_balls: list[GranularBall], value
 def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.ndarray:
     """Map every sample to the stable ball with the nearest center (ties: lowest index).
 
-    Nearest up to the float64 rounding of |x|² − 2x·c + |c|², so centers whose
-    true distances differ by less can be misordered (README, ROADMAP item 3).
+    A row's owner minimizes |c|² − 2x·c, its squared distance less |x|²: one GEMM
+    per block against −2·Cᵀ, then |c|² added in place. A cell is within
+    γ_{d+1}·(|c|² + 2|x|·|c|) of exact, γ_m = m·u / (1 − m·u), u = 2⁻⁵³, so two centers
+    swap only if their exact prices differ by less than their bounds' sum (ROADMAP item 3).
 
     Duplicate centers are priced once, at their lowest ball index: BLAS may
     round identical columns of the product differently, which would otherwise
@@ -189,13 +191,10 @@ def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.nda
     keep = np.sort(np.unique(centers, axis=0, return_index=True)[1])
     centers = centers[keep]
     sq_c = np.einsum("ij,ij->i", centers, centers)
+    scaled = -2.0 * centers.T
 
     def price(block: np.ndarray) -> np.ndarray:
-        # the expanded GEMM, not squared_distances, until ROADMAP item 3 prices by differences
-        # in place: scaling by -2 is exact, so each cell is |x|² − 2x·c + |c|² bit for bit
-        cells = block @ centers.T
-        cells *= -2.0
-        cells += np.einsum("ij,ij->i", block, block)[:, None]
+        cells = block @ scaled
         cells += sq_c
         return cells
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter, deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gbmdl.generation import (
 )
 from gbmdl.models import evaluate_ball, l1_length
 
-from oracles import farthest_point_bisect_loop
+from oracles import farthest_point_bisect_loop, sq_dists
 
 
 def blobs(n_per: int = 50, spread: float = 0.02, seed: int = 0) -> Dataset:
@@ -299,6 +300,11 @@ class TestReassignResiduals:
                 assert idx in background
 
 
+def gamma(m: int) -> float:
+    """γ_m = m·u / (1 − m·u), u = 2⁻⁵³: the relative error of m float64 roundings."""
+    return m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+
+
 class TestAssignSamples:
     def test_no_balls_rejected(self):
         with pytest.raises(ValueError, match=r"^need at least one stable ball$"):
@@ -351,6 +357,64 @@ class TestAssignSamples:
         owner = assign_samples(ds, balls + copies)
         assert not np.isin(owner, [690, 691, 692]).any()
         assert np.array_equal(owner, assign_samples(ds, balls))
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 13])
+    def test_owners_are_first_minima_of_direct_differences(self, d):
+        # full-mantissa rows and centers that are means of three rows, so products round
+        rng = np.random.default_rng(45 + d)
+        values = rng.random((600, d))
+        balls = [GranularBall.from_members(values, np.sort(rng.choice(600, 3, replace=False)))
+                 for _ in range(300)]
+        for j in rng.choice(300, size=8, replace=False).tolist():
+            balls.insert(int(rng.integers(len(balls) + 1)), balls[j])   # exact copies, anywhere
+        centers = np.stack([b.center for b in balls])
+        dist = sq_dists(values[:, None, :], centers[None, :, :])
+        nearest = np.argmin(dist, axis=1)
+        assert np.array_equal(assign_samples(Dataset(values=values), balls), nearest)
+
+        # every other distinct center is farther by more than both cells' bounds plus the
+        # oracle's own rounding (γ_{d+2} of each distance), so the agreement is not luck
+        first = dist.min(axis=1)
+        copies = (centers[None, :, :] == centers[nearest][:, None, :]).all(axis=2)
+        second = np.where(copies, np.inf, dist).min(axis=1)
+        assert np.isfinite(second).all()
+        c_max = np.sqrt((centers ** 2).sum(axis=1)).max()
+        cell_bound = gamma(d + 1) * (c_max ** 2 + 2 * np.sqrt((values ** 2).sum(axis=1)) * c_max)
+        assert (second - first > 2 * cell_bound + gamma(d + 2) * (first + second)).all()
+
+    def test_cell_error_within_stated_bound(self, monkeypatch):
+        # A cell is fl(fl(x·(−2c)) + fl(|c|²)). A d-term dot product, summed in any order
+        # with or without fused multiply-adds, errs by at most γ_d times the sum of its
+        # |terms|: γ_d·2|x|·|c| for x·(−2c) (Cauchy–Schwarz) and γ_d·|c|² for |c|². The
+        # add rounds once more, by u·(|c|² + 2|x|·|c|)·(1 + γ_d) at most, and
+        # γ_d + u·(1 + γ_d) ≤ γ_{d+1}: the bound is γ_{d+1}·(|c|² + 2|x|·|c|).
+        prices = []
+        first_minima = generation._first_minima
+        monkeypatch.setattr(generation, "_first_minima", lambda rows, cells, price: (
+            prices.append(price) or first_minima(rows, cells, price)))
+        rng = np.random.default_rng(46)
+        rounded = 0
+        for d in (1, 4, 8, 13):
+            near = rng.random((6, d))
+            far = 1e6 * (1.0 + rng.random((6, d)))
+            values = np.vstack([near, far])
+            balls = [GranularBall.from_members(values, members) for members in
+                     ([0, 1], [2, 3, 4], [5, 6], [7, 9, 11], [8, 10], [3, 8])]
+            assign_samples(Dataset(values=values), balls)
+            cells = prices.pop()(values)
+            assert cells.shape == (12, len(balls))
+            bound_factor = Fraction(d + 1, 2 ** 53 - (d + 1))      # gamma(d + 1), exactly
+            for x, row in zip(values.tolist(), cells.tolist()):
+                sq_x = sum(Fraction(v) ** 2 for v in x)
+                for c, cell in zip((b.center.tolist() for b in balls), row):
+                    sq_c = sum(Fraction(v) ** 2 for v in c)
+                    exact = sq_c - 2 * sum(Fraction(a) * Fraction(b) for a, b in zip(x, c))
+                    err = abs(Fraction(cell) - exact)
+                    rounded += err > 0
+                    # err ≤ γ·(|c|² + 2|x|·|c|), squared to stay in exact arithmetic
+                    excess = err / bound_factor - sq_c
+                    assert excess <= 0 or excess ** 2 <= 4 * sq_x * sq_c
+        assert rounded > 0
 
 
 def trace_digest(result) -> str:
