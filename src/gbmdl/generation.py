@@ -144,20 +144,20 @@ def _first_minima(rows: np.ndarray, cells_per_row: int, price) -> np.ndarray:
 
 
 def reassign_residuals(pool: np.ndarray, stable_balls: list[GranularBall], values: np.ndarray
-                       ) -> tuple[list[GranularBall], dict[int, int], np.ndarray]:
+                       ) -> tuple[list[GranularBall], np.ndarray, np.ndarray]:
     """Attach each residual to the cheapest destination, or keep it in the background.
 
     The attachment cost of a point is the increase in a ball's single-ball
     description length. The background codes a point uniformly over the unit
     hypercube, whose log-volume is 0, so it costs 0 nats.
     Ball statistics are frozen at entry, so the outcome does not depend on the order of
-    ``pool`` (int64 sample ids, taken as given); winning balls are rebuilt once at the end,
-    and the background keeps the pool's order. Ties between a ball and the background go
-    to the ball, ties between balls to the lowest ball index.
+    ``pool`` (int64 sample ids, taken as given); winning balls are rebuilt once at the end.
+    Returns the balls and the attached and background ids, int64 arrays in the pool's order.
+    Ties between a ball and the background go to the ball, between balls to the lowest index.
     """
     pool = np.asarray(pool, dtype=np.int64)
     if not stable_balls:
-        return [], {}, pool
+        return [], pool[:0], pool
 
     k, d = len(stable_balls), values.shape[1]
     frozen = stack_stats([b.stats for b in stable_balls])
@@ -165,12 +165,11 @@ def reassign_residuals(pool: np.ndarray, stable_balls: list[GranularBall], value
     # a block of p residuals grows p x k stacked stats; the background is column k
     dest = _first_minima(values[pool, None, :], k * d, lambda x: np.pad(
         l1_length(stats_add_point(frozen, x), d) - base, ((0, 0), (0, 1))))
-    attached = dest < k
     updated = list(stable_balls)
-    for j in np.unique(dest[attached]).tolist():
+    for j in np.unique(dest[dest < k]).tolist():
         merged = np.concatenate([stable_balls[j].members, pool[dest == j]])
         updated[j] = GranularBall.from_members(values, merged)
-    return updated, dict(zip(pool[attached].tolist(), dest[attached].tolist())), pool[~attached]
+    return updated, pool[dest < k], pool[dest == k]
 
 
 def assign_samples(dataset: Dataset, stable_balls: list[GranularBall]) -> np.ndarray:

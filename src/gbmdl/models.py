@@ -22,11 +22,6 @@ RADIUS_FLOOR = 1e-12
 VARIANCE_FLOOR = 1e-12  # keeps duplicate-heavy balls at a finite, comparable cost
 
 
-def ball_radius(points: np.ndarray, center: np.ndarray) -> float:
-    """Maximum Euclidean distance from any member point to the center."""
-    return float(np.sqrt(squared_distances(np.transpose(points), center[:, None]).max()))
-
-
 def l1_length(stats: BallStats, d: int) -> float | np.ndarray:
     """Single-ball description length.
 
@@ -233,7 +228,6 @@ def _best_peels(block: Block, n_min: int) -> Scan:
     sorted_members, sorted_pts, sorted_dist, core = _sorted_prefix(
         members, pts, np.where(np.arange(pts.shape[1]) < sizes[:, None], dist, np.inf))
     rows = np.arange(len(sizes))
-    # sqrt is correctly rounded, so monotone: r_b is ball_radius bit for bit
     r_b = sorted_dist[rows, sizes - 1]
     feasible = (sizes > n_min) & (r_b > RADIUS_FLOOR)
 
@@ -252,15 +246,21 @@ def _best_peels(block: Block, n_min: int) -> Scan:
     best = np.full(len(sizes), np.inf)
     cut = np.zeros(len(sizes), dtype=np.int64)
     open_rows = rows[feasible]
+    last_j = np.zeros(len(sizes), dtype=np.int64)   # each row's core as last measured
+    cols = np.moveaxis(sorted_pts, 2, 0).copy()   # feature-major, so a round reads whole rows
     while True:   # one best-first step per open ball
         j = low.shape[1] - 1 - np.argmin(low[open_rows, ::-1], axis=1)   # ties: smallest q
         going = low[open_rows, j] <= best[open_rows]   # else every q left is priced above best
         open_rows, j = open_rows[going], j[going]
         if not open_rows.size:
             return best, cut, sorted_members
-        radii = np.array([ball_radius(sorted_pts[b, :k + 1], means[b, k])
-                          for b, k in zip(open_rows.tolist(), j.tolist())])
-        got = lengths((open_rows, j), open_rows, radii)
+        # one pass over the open rows' span, to the widest open core; past a row's core is masked
+        span, last_j[open_rows] = slice(open_rows[0], open_rows[-1] + 1), j
+        width = np.arange(j.max() + 1)
+        sq = squared_distances(cols[:, span, :width.size],
+                               means[rows[span], last_j[span]].T[..., None])
+        radii = np.sqrt(sq.max(axis=1, where=width <= last_j[span, None], initial=0.0))
+        got = lengths((open_rows, j), open_rows, radii[open_rows - span.start])
         wins = (got < best[open_rows]) | ((got == best[open_rows]) & (j + 1 > cut[open_rows]))
         best[open_rows[wins]], cut[open_rows[wins]] = got[wins], j[wins] + 1
         low[open_rows, j] = np.inf
@@ -286,7 +286,7 @@ def l3_best_peel(ball: np.ndarray, values: np.ndarray,
     exactly in ascending bound order until the next bound exceeds the best
     length, so the first minimum is the full scan's, bit for bit. This is the
     one-ball case of ``evaluate_balls``' block scan, where every ball still
-    open takes one such step per round.
+    open takes one such step per round and one pass measures all their cores.
     """
     scan = _best_peels(_block([ball], values), n_min)
     return float(scan[0][0]), _parts(scan, 0, ball.size)
@@ -299,10 +299,10 @@ def evaluate_balls(balls: list[np.ndarray], values: np.ndarray,
     Each ball is an ascending member array. Balls of alike size share a block
     of at most BLOCK_CELLS padded cells, which is gathered once and gives each
     ball its stats, then sorted and scanned by the split and the peel as array
-    passes; only the principal direction, its projection and the measured core
-    radii are computed ball by ball. Only the winner's two parts are sorted, and
-    an M1 verdict keeps the stats that priced it. Every length is the one-ball
-    computation's, bit for bit, so the verdicts do not depend on the grouping.
+    passes; only the principal direction and its projection are computed ball
+    by ball. Only the winner's two parts are sorted, and an M1 verdict keeps the
+    stats that priced it. Every length is the one-ball computation's, bit for
+    bit, so the verdicts do not depend on the grouping.
     """
     d = values.shape[1]
     verdicts: list = [None] * len(balls)

@@ -241,7 +241,7 @@ def test_criterion_9_background_cost_identity():
         background_cost = 0.0   # unit hypercube after normalization
 
         updated, attachments, background = reassign_residuals(pool, stable, ds.values)
-        assert set(attachments) | set(background) == set(pool)
+        assert set(attachments.tolist()) | set(background.tolist()) == set(pool.tolist())
         d = ds.d
         for idx in pool:
             deltas = np.array([
@@ -249,6 +249,6 @@ def test_criterion_9_background_cost_identity():
                 - l1_length(ball.stats, d) for ball in stable])
             j = int(np.argmin(deltas))
             if deltas[j] <= background_cost:
-                assert attachments[idx] == j
+                assert [b for b, ball in enumerate(updated) if idx in ball.members] == [j]
             else:
                 assert idx in background

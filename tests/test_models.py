@@ -17,7 +17,6 @@ from gbmdl.generation import adaptive_n_min, generate
 from gbmdl.models import (
     RADIUS_FLOOR,
     VARIANCE_FLOOR,
-    ball_radius,
     core_radius_bounds,
     evaluate_ball,
     evaluate_balls,
@@ -321,13 +320,13 @@ def peel_cores(points, n_min):
 def full_scan_peel(points, n_min):
     """Every q's peel length from per-core loop radii, priced in l3_best_peel's
     order of operations; returns the first minimum and its (core, residual) pair."""
-    ball, order, _, sizes, means = peel_cores(points, n_min)
+    _, order, dist_sorted, sizes, means = peel_cores(points, n_min)
     n, d = points.shape
     sorted_pts = points[order]
     sums = np.cumsum(sorted_pts, axis=0)[sizes - 1]
     core = BallStats(sizes, sums, np.cumsum(np.einsum("ij,ij->i", sorted_pts, sorted_pts))[sizes - 1])
     radii = core_radii_loop(sorted_pts, sizes, means)
-    r_out = 2.0 * ball_radius(points, ball.center)
+    r_out = 2.0 * dist_sorted[-1]
     lengths = l1_length(core, d) + (n - sizes) * log_shell_volume(d, r_out, radii) \
         + math.log(max(n, 2))
     best = int(np.argmin(lengths))
@@ -355,6 +354,20 @@ def peel_test_balls():
         # a core of one repeated row far from the center is bounded at 2ρ but measures 0
         "two-rows": np.repeat(np.eye(2, 8), 500, axis=0),
     }
+
+
+def count_measured_cores(monkeypatch) -> list[int]:
+    """Record the number of cores each peel round measures: the bound pass prices
+    every core with a 2-D array of radius bounds, a round its open cores' radii in 1-D."""
+    measured, shell = [], models.log_shell_volume
+
+    def counted(d, r_out, r_core):
+        if np.ndim(r_core) == 1:
+            measured.append(len(r_core))
+        return shell(d, r_out, r_core)
+
+    monkeypatch.setattr(models, "log_shell_volume", counted)
+    return measured
 
 
 class TestL3BestPeel:
@@ -392,7 +405,7 @@ class TestL3BestPeel:
         ball = ball_of(pts)
         l3_star, (core, residual) = l3_best_peel(ball.members, pts, n_min=2)
         assert core.tolist() == list(range(9)) and residual.tolist() == [9]
-        r_b = ball_radius(pts, ball.center)
+        r_b = np.sqrt(sq_dists(pts, ball.center).max())
         assert l3_star == l1_length(stats_from_points(pts[:9]), 1) \
             + log_ball_volume(1, 2.0 * r_b) + math.log(10)
 
@@ -442,9 +455,7 @@ class TestL3BestPeel:
     @pytest.mark.parametrize("name", sorted(peel_test_balls()))
     def test_bit_equal_to_full_scan(self, name, monkeypatch):
         points = peel_test_balls()[name]
-        measured = []
-        monkeypatch.setattr(models, "ball_radius",
-                            lambda pts, center: measured.append(len(pts)) or ball_radius(pts, center))
+        measured = count_measured_cores(monkeypatch)
         survivors = []
         for n_min in (2, len(points) // 4):
             measured.clear()
@@ -452,11 +463,40 @@ class TestL3BestPeel:
             want, (want_core, want_residual) = full_scan_peel(points, n_min)
             assert length == want
             assert np.array_equal(core, want_core) and np.array_equal(residual, want_residual)
-            assert 1 <= len(measured) <= len(points) - n_min
-            survivors.append(len(measured))
+            assert 1 <= sum(measured) <= len(points) - n_min
+            survivors.append(sum(measured))
         # best-first counts at n_min = 2 and len // 4; most balls measure one q
         assert survivors == {"collinear": [5, 5], "even-1d": [15, 15], "lattice-1d": [1, 5],
                              "two-rows": [499, 251]}.get(name, [1, 1])
+
+
+    @pytest.mark.parametrize("names", [("lattice-1d", "even-1d", "scaled-lattice-1d"),
+                                       ("offset-1e6", "collinear"), ("random", "two-rows")],
+                             ids="+".join)
+    def test_block_bit_equal_to_full_scan(self, names, monkeypatch):
+        # the balls of one d side by side share one block, so a round measures open
+        # cores of different widths in one pass; each ball must still take the full
+        # scan's first minimum and measure the q that it measures alone
+        balls = [peel_test_balls()[name] for name in names]
+        values = np.vstack(balls)
+        ends = np.cumsum([len(points) for points in balls])
+        members = [np.arange(end - len(points), end) for points, end in zip(balls, ends)]
+        measured = count_measured_cores(monkeypatch)
+        for n_min in (2, min(len(points) for points in balls) // 4):
+            alone = 0
+            for points in balls:
+                measured.clear()
+                l3_best_peel(np.arange(len(points)), points, n_min)
+                alone += sum(measured)
+            measured.clear()
+            verdicts = evaluate_balls(members, values, n_min)
+            assert max(measured) == len(balls) and sum(measured) == alone
+            for points, ball, verdict in zip(balls, members, verdicts):
+                want, (core, residual) = full_scan_peel(points, n_min)
+                assert verdict.l3_star.hex() == want.hex()
+                if verdict.choice is ModelChoice.CORE_RESIDUAL:
+                    assert np.array_equal(verdict.parts[0], ball[core])
+                    assert np.array_equal(verdict.parts[1], ball[residual])
 
 
 class TestCoreRadii:
@@ -493,7 +533,7 @@ class TestCoreRadii:
             else:
                 points = rng.normal(size=(n, d))
             points = points * 10.0 ** rng.integers(-6, 7) + rng.choice([0.0, 1e3, -1e6])
-            if ball_radius(points, ball_of(points).center) > RADIUS_FLOOR:
+            if np.sqrt(sq_dists(points, ball_of(points).center).max()) > RADIUS_FLOOR:
                 self.check(points, n_min=int(rng.integers(1, n)))
 
 
